@@ -495,49 +495,50 @@ def run_cauchy_robustness(
     af_errors = _make_af_errors(nominal)
     t0 = time.perf_counter()
 
-    tracks: Dict[str, ExperimentResult] = {}
-    batch_errors: Dict[str, List[np.ndarray]] = {"cm": [], "af": []}
-    for track, error_fn, phase in (("cm", _cm_errors, 0), ("af", af_errors, 1)):
-        analytic_fn = _analytic_cm if track == "cm" else _analytic_af
-        records = []
-        medians = []
+    def collect_track(error_fn, analytic_fn, phase, trials, label):
+        """Records over the sweep plus each point's finite errors."""
+        records, finite_errors, degenerates = [], [], []
         for i, value in enumerate(spec.sweep.values):
             config = _apply_sweep(spec.network, "n_sensors", value)
-            errs = _collect_point(
-                config, error_fn, spec.trials, spec.seed, phase, i, threads
-            )
-            batch_errors[track].append(errs)
+            errs = _collect_point(config, error_fn, trials, spec.seed, phase, i, threads)
             finite = errs[np.isfinite(errs)]
             acc = TrialAccumulator()
             acc.add_batch(finite)
             records.append(_record(value, acc, analytic_fn(config), config.n_sensors))
-            medians.append(float(np.median(np.abs(finite))))
-        meta = _base_metadata(spec, f"{track}-batch")
-        meta["median_abs_error_by_point"] = medians
+            finite_errors.append(finite)
+            degenerates.append(int(errs.size - finite.size))
+        meta = _base_metadata(spec, label)
+        meta["degenerate_trials"] = degenerates
+        return ExperimentResult(records=records, metadata=meta), finite_errors
+
+    tracks: Dict[str, ExperimentResult] = {}
+    for track, error_fn, phase in (("cm", _cm_errors, 0), ("af", af_errors, 1)):
+        analytic_fn = _analytic_cm if track == "cm" else _analytic_af
+        result, finite_errors = collect_track(
+            error_fn, analytic_fn, phase, spec.trials, f"{track}-batch"
+        )
+        meta = result.metadata
+        meta["median_abs_error_by_point"] = [
+            float(np.median(np.abs(e))) for e in finite_errors
+        ]
         if track == "af":
             meta["af_nominal_variance"] = nominal
             meta["variance_note"] = (
                 "raw variance recorded but non-convergent when the sensing "
                 "noise has no finite moments"
             )
-            ks = _sstats.ks_2samp(batch_errors["af"][0], batch_errors["af"][-1])
+            ks = _sstats.ks_2samp(finite_errors[0], finite_errors[-1])
             meta["ks_af_smallest_vs_largest"] = {
                 "statistic": float(ks.statistic),
                 "pvalue": float(ks.pvalue),
             }
-        tracks[f"{track}-batch"] = ExperimentResult(records=records, metadata=meta)
+        tracks[f"{track}-batch"] = result
 
     for track, error_fn, phase in (("cm", _cm_errors, 2), ("af", af_errors, 3)):
         analytic_fn = _analytic_cm if track == "cm" else _analytic_af
-        records = []
-        for i, value in enumerate(spec.sweep.values):
-            config = _apply_sweep(spec.network, "n_sensors", value)
-            errs = _collect_point(config, error_fn, 1, spec.seed, phase, i, threads)
-            acc = TrialAccumulator()
-            acc.add_batch(errs[np.isfinite(errs)])
-            records.append(_record(value, acc, analytic_fn(config), config.n_sensors))
-        meta = _base_metadata(spec, f"{track}-trace")
-        tracks[f"{track}-trace"] = ExperimentResult(records=records, metadata=meta)
+        tracks[f"{track}-trace"], _ = collect_track(
+            error_fn, analytic_fn, phase, 1, f"{track}-trace"
+        )
 
     wall = time.perf_counter() - t0
     for result in tracks.values():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from cmest.channel import (
     RiceanFading,
     Snapshot,
     TotalPower,
+    _wrap_to_float32,
     af_gain,
     af_snapshot_batch,
     cm_snapshot_batch,
@@ -18,7 +20,8 @@ from cmest.channel import (
     simulate_cm_snapshot,
 )
 from cmest.errors import ConfigError
-from cmest.noise import Cauchy, Gaussian, NoiseModel
+from cmest.estimators import cm_estimates
+from cmest.noise import Cauchy, Gaussian, Laplace, NoiseModel, Uniform
 
 
 class _ZeroNoise(NoiseModel):
@@ -66,6 +69,9 @@ class TestNetworkConfig:
             dict(omega=0.0),
             dict(omega=2.0 * math.pi / 12.0 + 1e-6),
             dict(channel_noise_variance=-1.0),
+            # NaN passed a bare `< 0` check and ran as a noiseless channel
+            dict(channel_noise_variance=math.nan),
+            dict(channel_noise_variance=math.inf),
         ],
     )
     def test_invariants(self, kw):
@@ -75,6 +81,25 @@ class TestNetworkConfig:
     def test_omega_boundary_tolerance(self):
         # the exact boundary 2*pi/theta_range is admissible
         _config(omega=2.0 * math.pi / 12.0)
+
+    @pytest.mark.parametrize(
+        "make, value",
+        [
+            # p_t = 0 divided by zero in the analytic value
+            (TotalPower, 0.0),
+            # negative powers hit a math domain error in sqrt
+            (TotalPower, -1.0),
+            (PerSensorPower, -1.0),
+            (PerSensorPower, 0.0),
+            # NaN power made every trial NaN
+            (TotalPower, math.nan),
+            (TotalPower, math.inf),
+            (PerSensorPower, math.nan),
+        ],
+    )
+    def test_power_must_be_finite_and_positive(self, make, value):
+        with pytest.raises(ConfigError):
+            make(value)
 
     def test_power_modes(self):
         assert PerSensorPower(rho=2.0).per_sensor_power(100) == 2.0
@@ -151,6 +176,82 @@ class TestConstantModulus:
         a = simulate_cm_snapshot(cfg, np.random.default_rng(77))
         b = simulate_cm_snapshot(cfg, np.random.default_rng(77))
         assert a.y == b.y
+
+
+def _reference_cm_batch(config, n_trials, rng):
+    """Whole-matrix float64 kernel: cos/sin of omega*(theta + eta) in float64."""
+    eta = config.noise.sample_sensors(rng, n_trials, config.n_sensors)
+    phase = config.omega * (config.theta + eta)
+    y = math.sqrt(config.per_sensor_power) * (
+        np.cos(phase).sum(axis=1) + 1j * np.sin(phase).sum(axis=1)
+    )
+    sigma = math.sqrt(config.channel_noise_variance / 2.0)
+    return y + sigma * (rng.standard_normal(n_trials) + 1j * rng.standard_normal(n_trials))
+
+
+def _reference_af_batch(config, nominal_variance, n_trials, rng):
+    """Whole-matrix AF kernel: one (n_trials, L) noise draw, summed by row."""
+    eta = config.noise.sample_sensors(rng, n_trials, config.n_sensors)
+    alpha = af_gain(config, nominal_variance)
+    y = alpha * (config.theta * config.n_sensors + eta.sum(axis=1)).astype(complex)
+    sigma = math.sqrt(config.channel_noise_variance / 2.0)
+    return y + sigma * (rng.standard_normal(n_trials) + 1j * rng.standard_normal(n_trials))
+
+
+class TestStreamingKernel:
+    # 1000 trials at L = 500 span several row chunks.
+
+    @pytest.mark.parametrize("noise", [Gaussian(1.0), Laplace(1.0), Cauchy(1.0)])
+    def test_cm_matches_float64_reference_on_shared_draws(self, noise):
+        cfg = _config(noise=noise)
+        y = cm_snapshot_batch(cfg, 1000, np.random.default_rng(5))
+        y_ref = _reference_cm_batch(cfg, 1000, np.random.default_rng(5))
+        est = cm_estimates(y, cfg.n_sensors, cfg.omega, cfg.power)
+        est_ref = cm_estimates(y_ref, cfg.n_sensors, cfg.omega, cfg.power)
+        assert np.max(np.abs(est - est_ref)) <= 1e-5 * np.std(est_ref)
+
+    @pytest.mark.parametrize(
+        "noise", [Gaussian(1.0), Laplace(1.0), Uniform(1.0), Cauchy(1.0)]
+    )
+    def test_af_bit_identical_to_whole_matrix(self, noise):
+        cfg = _config(noise=noise)
+        y = af_snapshot_batch(cfg, 1.0, np.random.default_rng(6), 1000)
+        y_ref = _reference_af_batch(cfg, 1.0, 1000, np.random.default_rng(6))
+        np.testing.assert_array_equal(y, y_ref)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.5, -3.0, 3.2, 7.0, -40.0, 1e6, -1.6e7],  # fast reduction only
+            [0.5, -3.0, 2.5e7, -1e12, 1e37, -1e300],  # exact reduction first
+        ],
+    )
+    def test_phase_wraps_into_principal_interval(self, values):
+        phase = np.array(values)
+        out = np.empty(phase.shape, dtype=np.float32)
+        _wrap_to_float32(phase.copy(), np.empty_like(phase), out)
+        assert np.all(np.abs(out) <= np.float32(math.pi))
+        # same point on the circle as the exact float64 remainder
+        off = np.remainder(out - np.remainder(phase, 2.0 * math.pi), 2.0 * math.pi)
+        assert np.all(np.minimum(off, 2.0 * math.pi - off) < 1e-6)
+
+    def test_huge_cauchy_scale_stays_finite(self, rng):
+        # unwrapped, omega*eta overflows the float32 cast and turns y into NaN
+        cfg = _config(noise=Cauchy(1e37))
+        y = cm_snapshot_batch(cfg, 300, rng)
+        assert np.all(np.isfinite(y))
+
+    def test_block_memory_does_not_grow_with_sensors(self):
+        def peak_bytes(n_sensors):
+            cfg = _config(n_sensors=n_sensors, fading=RayleighFading())
+            tracemalloc.start()
+            try:
+                cm_snapshot_batch(cfg, 512, np.random.default_rng(7))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(2000) < 1.5 * peak_bytes(200)
 
 
 class TestFadingGains:

@@ -115,6 +115,23 @@ class TestErrorPaths:
         cfg = _write_config(tmp_path, d)
         assert main(["simulate", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # each ran into a traceback or a silent NaN run before validation
+            ("power", {"mode": "total", "p_t": 0.0}),
+            ("power", {"mode": "total", "p_t": -1.0}),
+            ("power", {"mode": "per-sensor", "rho": -1.0}),
+            ("power", {"mode": "total", "p_t": math.nan}),
+            ("channel_noise_variance", math.nan),
+        ],
+    )
+    def test_bad_power_or_channel_noise_is_config_error(self, tmp_path, field, value):
+        d = _tiny_spec_dict()
+        d["network"][field] = value
+        cfg = _write_config(tmp_path, d)
+        assert main(["simulate", "--config", cfg, "--check"]) == 2
+
     def test_unknown_noise_kind(self, tmp_path):
         d = _tiny_spec_dict()
         d["network"]["noise"] = {"kind": "pareto"}

@@ -311,6 +311,27 @@ class TestCauchyRobustness:
             assert result_to_csv(a[key]) == result_to_csv(b[key])
             assert result_to_json(a[key]) == result_to_json(b[key])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_degenerate_trials_counted_on_every_track(self):
+        # scale 1e305: a few draws per trial overflow to inf, so some trials
+        # give non-finite estimates; they were dropped without a count
+        spec = _spec(
+            kind="cauchy-robustness",
+            network=_network(noise=Cauchy(1e305)),
+            sweep=Sweep("n_sensors", (100.0, 200.0)),
+            trials=400,
+            af_nominal_variance=1.0,
+        )
+        tracks = run_cauchy_robustness(spec)
+        for label, result in tracks.items():
+            degenerate = result.metadata["degenerate_trials"]
+            trials = 1 if label.endswith("trace") else 400
+            assert [r.n_trials + d for r, d in zip(result.records, degenerate)] == [
+                trials, trials
+            ]
+        assert sum(tracks["cm-batch"].metadata["degenerate_trials"]) > 0
+        assert sum(tracks["af-batch"].metadata["degenerate_trials"]) > 0
+
 
 class TestHeterogeneousConsistency:
     def test_tracks_and_mse(self):
