@@ -12,8 +12,11 @@ phase, which keeps transmissions constant-modulus).
 
 Stream discipline per batch: a batch is walked in row chunks of a fixed
 sensor-sample budget.  Each chunk draws its sensing noise, then its fading
-gains (if any); channel noise for the whole batch is drawn after the last
-chunk.  Identical seed and config replay bit-identically.
+gains (if any): Rayleigh draws one unit exponential per gain, Ricean the
+chunk's real-part normal block, then its imaginary-part block.  Channel
+noise for the whole batch is drawn after the last chunk.  Identical seed and
+config replay bit-identically.  Noise and gains are drawn into work arrays
+allocated once per batch.
 
 Precision of the constant-modulus kernel: the phase omega*eta is formed and
 wrapped to [-pi, pi] in float64, its cos/sin are taken in float32 (about
@@ -98,12 +101,17 @@ class NoFading:
 
 @dataclass(frozen=True)
 class RayleighFading:
-    """Rayleigh envelope with E[|h|^2] = 1."""
+    """Rayleigh envelope with E[|h|^2] = 1.
 
-    def sample_gains(self, rng, size):
-        re = rng.standard_normal(size)
-        im = rng.standard_normal(size)
-        return np.sqrt(0.5) * np.hypot(re, im)
+    |h|^2 = (re^2 + im^2)/2 for two unit normals is a unit exponential, so
+    each gain is the square root of one exponential draw.
+    """
+
+    def sample_gains(self, rng, size, out=None, work=None):
+        """Gains of shape ``size``, written into ``out`` when given; one
+        draw per gain, so ``work`` goes unused."""
+        out = rng.standard_exponential(size, out=out)
+        return np.sqrt(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -116,13 +124,25 @@ class RiceanFading:
         if self.k_factor < 0.0:
             raise ConfigError(f"Ricean K factor must be >= 0, got {self.k_factor}")
 
-    def sample_gains(self, rng, size):
+    def sample_gains(self, rng, size, out=None, work=None):
+        """Gains of shape ``size``, written into ``out`` when given.
+
+        The real-part block is drawn before the imaginary-part block, which
+        goes into ``work`` (scratch of the same shape) when given.  Normal
+        draws cannot overflow a square, so sqrt(re^2 + im^2) needs no hypot.
+        """
         k = self.k_factor
         los = math.sqrt(k / (k + 1.0))
         sig = math.sqrt(0.5 / (k + 1.0))
-        re = los + sig * rng.standard_normal(size)
-        im = sig * rng.standard_normal(size)
-        return np.hypot(re, im)
+        re = rng.standard_normal(size, out=out)
+        re *= sig
+        re += los
+        im = rng.standard_normal(size, out=work)
+        im *= sig
+        re *= re
+        im *= im
+        re += im
+        return np.sqrt(re, out=re)
 
 
 FadingModel = Union[NoFading, RayleighFading, RiceanFading]
@@ -245,13 +265,17 @@ def cm_snapshot_batch(
     # cost more in page faults than the arithmetic done on them.
     shape = (min(n_trials, _rows_per_chunk(L)), L)
     phase32 = np.empty(shape, dtype=np.float32)
-    re_buf, im_buf, scale_buf = np.empty(shape), np.empty(shape), np.empty(shape)
+    noise_buf, re_buf, im_buf, scale_buf = (np.empty(shape) for _ in range(4))
+    gain_buf = np.empty(shape) if fading is not None else None
     for chunk in _row_chunks(n_trials, L):
         rows = chunk.stop - chunk.start
-        phase = config.noise.sample_sensors(rng, rows, L)
-        gains = fading.sample_gains(rng, (rows, L)) if fading is not None else None
-        phase *= config.omega
         re, im, scale = re_buf[:rows], im_buf[:rows], scale_buf[:rows]
+        phase = config.noise.sample_sensors(rng, rows, L, out=noise_buf[:rows])
+        gains = None
+        if fading is not None:
+            # re is free until the cosines: scratch for a second normal block.
+            gains = fading.sample_gains(rng, (rows, L), out=gain_buf[:rows], work=re)
+        phase *= config.omega
         _wrap_to_float32(phase, scale, phase32[:rows])
         np.cos(phase32[:rows], out=re)  # float32 trig, stored as float64
         np.sin(phase32[:rows], out=im)
@@ -317,8 +341,10 @@ def af_snapshot_batch(
     alpha = af_gain(config, nominal_variance)
     L = config.n_sensors
     sums = np.empty(n_trials)
+    noise_buf = np.empty((min(n_trials, _rows_per_chunk(L)), L))
     for chunk in _row_chunks(n_trials, L):
-        eta = config.noise.sample_sensors(rng, chunk.stop - chunk.start, L)
+        rows = chunk.stop - chunk.start
+        eta = config.noise.sample_sensors(rng, rows, L, out=noise_buf[:rows])
         sums[chunk] = eta.sum(axis=1)
     y = alpha * (config.theta * L + sums).astype(complex)
     if config.channel_noise_variance > 0.0:

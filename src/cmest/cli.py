@@ -24,6 +24,7 @@ from .harness import (
     ExperimentResult,
     SweepRecord,
     check_against_analytic,
+    compared_points,
     fading_from_dict,
     noise_from_dict,
     result_to_csv,
@@ -249,8 +250,10 @@ def _run_experiment_command(args, allowed_kinds) -> int:
             all_tracks[key] = result
 
     failures = {}
+    compared = 0
     if args.check:
         for key, result in all_tracks.items():
+            compared += compared_points(result)
             bad = check_against_analytic(result, args.check_tol)
             if bad:
                 failures[key] = bad
@@ -259,6 +262,13 @@ def _run_experiment_command(args, allowed_kinds) -> int:
         sys.stderr.write(
             "acceptance check failed at tolerance "
             f"{args.check_tol}:\n{json.dumps(harness._jsonable(failures), indent=2)}\n"
+        )
+        return _EXIT_CHECK
+    if args.check and compared == 0:
+        # a check that compared nothing is not a pass
+        sys.stderr.write(
+            "acceptance check failed: no sweep point has both a finite analytic "
+            "value and a variance estimate\n"
         )
         return _EXIT_CHECK
     return _EXIT_OK

@@ -71,6 +71,7 @@ __all__ = [
     "run_heterogeneous_consistency",
     "run_kind",
     "check_against_analytic",
+    "compared_points",
     "spec_from_dict",
     "spec_to_dict",
     "noise_from_dict",
@@ -583,17 +584,18 @@ def run_heterogeneous_consistency(
             spec.network, noise=HeterogeneousScaled(base=noise.base, scale_rule=track_rule)
         )
         t0 = time.perf_counter()
-        records = []
-        mses = []
+        records, mses, degenerates = [], [], []
         for i, value in enumerate(spec.sweep.values):
             config = _apply_sweep(network, "n_sensors", value)
-            acc, _ = _accumulate_point(
+            acc, degen = _accumulate_point(
                 config, _cm_errors, spec.trials, spec.seed, phase, i, threads
             )
             records.append(_record(value, acc, math.nan, config.n_sensors))
             mses.append(acc.mean_square)
+            degenerates.append(degen)
         meta = _base_metadata(spec, label)
         meta["mse_by_point"] = mses
+        meta["degenerate_trials"] = degenerates
         tracks[label] = ExperimentResult(
             records=records, metadata=meta, wall_time_s=time.perf_counter() - t0
         )
@@ -615,21 +617,35 @@ def run_kind(spec: ExperimentSpec, threads: int = 1) -> Dict[str, ExperimentResu
     return _RUNNERS[spec.kind](spec, threads)
 
 
+def _is_compared(rec: SweepRecord) -> bool:
+    return math.isfinite(rec.analytic_asv) and math.isfinite(rec.normalized_variance)
+
+
+def compared_points(result: ExperimentResult) -> int:
+    """Points that have both a finite analytic value and a variance estimate."""
+    return sum(_is_compared(rec) for rec in result.records)
+
+
 def check_against_analytic(result: ExperimentResult, tolerance: float) -> List[Dict]:
     """Points where simulation and analytic variance disagree beyond tolerance.
 
-    Points without a finite analytic value or without a variance estimate
-    are skipped.
+    A point with a finite analytic value but no finite trial fails.  Other
+    points without a finite analytic value or without a variance estimate
+    are not compared; see ``compared_points``.
     """
     failures = []
     for rec in result.records:
-        if not (math.isfinite(rec.analytic_asv) and math.isfinite(rec.normalized_variance)):
+        if math.isfinite(rec.analytic_asv) and rec.n_trials == 0:
+            rel = math.nan  # theory has a value, the simulation none
+        elif _is_compared(rec):
+            rel = abs(rec.normalized_variance / rec.analytic_asv - 1.0)
+        else:
             continue
-        rel = abs(rec.normalized_variance / rec.analytic_asv - 1.0)
-        if rel > tolerance:
+        if not rel <= tolerance:
             failures.append(
                 {
                     "sweep_value": rec.sweep_value,
+                    "n_trials": rec.n_trials,
                     "normalized_variance": rec.normalized_variance,
                     "analytic_asv": rec.analytic_asv,
                     "relative_deviation": rel,

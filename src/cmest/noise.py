@@ -99,10 +99,20 @@ class NoiseModel:
         raise NotImplementedError
 
     def sample_sensors(
-        self, rng: np.random.Generator, n_trials: int, n_sensors: int
+        self, rng: np.random.Generator, n_trials: int, n_sensors: int, out=None
     ) -> np.ndarray:
-        """(n_trials, n_sensors) noise matrix; column j belongs to sensor j+1."""
-        return self.sample(rng, (n_trials, n_sensors))
+        """(n_trials, n_sensors) noise matrix; column j belongs to sensor j+1.
+
+        ``out``, a C-contiguous float64 array of that shape, may receive the
+        draw in place; always use the returned array.  The values are those
+        of ``sample(rng, (n_trials, n_sensors))`` either way.
+        """
+        return self._sample_block(rng, (n_trials, n_sensors), out)
+
+    def _sample_block(self, rng, size, out) -> np.ndarray:
+        """``sample(rng, size)``; models with a bit-identical in-place draw
+        override this to write it into ``out`` when one is given."""
+        return self.sample(rng, size)
 
 
 @dataclass(frozen=True)
@@ -124,6 +134,11 @@ class Gaussian(NoiseModel):
 
     def sample(self, rng, size=None, sensor_index=1):
         return math.sqrt(self.variance_) * rng.standard_normal(size)
+
+    def _sample_block(self, rng, size, out):
+        out = rng.standard_normal(size, out=out)
+        out *= math.sqrt(self.variance_)
+        return out
 
 
 @dataclass(frozen=True)
@@ -170,6 +185,14 @@ class Cauchy(NoiseModel):
         # Inversion: gamma * tan(pi (U - 1/2)).
         return self.scale * np.tan(np.pi * (rng.random(size) - 0.5))
 
+    def _sample_block(self, rng, size, out):
+        out = rng.random(size, out=out)
+        out -= 0.5
+        out *= np.pi
+        np.tan(out, out=out)
+        out *= self.scale
+        return out
+
 
 @dataclass(frozen=True)
 class Uniform(NoiseModel):
@@ -202,6 +225,14 @@ class Uniform(NoiseModel):
     def sample(self, rng, size=None, sensor_index=1):
         a = self.half_width
         return rng.uniform(-a, a, size)
+
+    def _sample_block(self, rng, size, out):
+        # numpy's own order: low + (high - low) * u
+        a = self.half_width
+        out = rng.random(size, out=out)
+        out *= 2.0 * a
+        out += -a
+        return out
 
 
 @dataclass(frozen=True)
@@ -287,9 +318,13 @@ class HeterogeneousScaled(NoiseModel):
     def sample(self, rng, size=None, sensor_index=1):
         return float(self.scale_rule(sensor_index)) * self.base.sample(rng, size)
 
-    def sample_sensors(self, rng, n_trials, n_sensors):
+    def sample_sensors(self, rng, n_trials, n_sensors, out=None):
         scales = np.asarray(self.scale_rule(np.arange(1, n_sensors + 1)))
-        return self.base.sample(rng, (n_trials, n_sensors)) * scales[None, :]
+        # Through the base's sampler, not its sample_sensors: one noise
+        # matrix is one sampling call.
+        draw = self.base._sample_block(rng, (n_trials, n_sensors), out)
+        draw *= scales
+        return draw
 
 
 AnyNoise = Union[Gaussian, Laplace, Cauchy, Uniform, ClassA, HeterogeneousScaled]

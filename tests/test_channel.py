@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
 from cmest.channel import (
     NetworkConfig,
@@ -22,6 +23,7 @@ from cmest.channel import (
 from cmest.errors import ConfigError
 from cmest.estimators import cm_estimates
 from cmest.noise import Cauchy, Gaussian, Laplace, NoiseModel, Uniform
+from cmest.specfun import ricean_fading_penalty
 
 
 class _ZeroNoise(NoiseModel):
@@ -264,6 +266,43 @@ class TestFadingGains:
         se = np.std(g ** 2) / 1000.0
         assert abs(m2 - 1.0) < 3.5 * se
         assert np.all(g > 0)
+
+    def test_rayleigh_envelope_distribution(self, rng):
+        g = RayleighFading().sample_gains(rng, 200_000)
+        # unit-power Rayleigh envelope: P(|h| <= g) = 1 - exp(-g^2)
+        assert kstest(g, lambda x: -np.expm1(-x * x)).pvalue > 1e-3
+
+    def test_ricean_mean_amplitude(self, rng):
+        g = RiceanFading(k_factor=5.0).sample_gains(rng, 1_000_000)
+        se = g.std() / math.sqrt(g.size)
+        assert abs(g.mean() - ricean_fading_penalty(5.0) ** -0.5) < 3.5 * se
+
+    @pytest.mark.parametrize(
+        "fading, reference",
+        [
+            (RayleighFading(), lambda rng, n: np.sqrt(rng.standard_exponential(n))),
+            (
+                RiceanFading(k_factor=3.0),
+                # real-part block first, then the imaginary-part block
+                lambda rng, n: np.sqrt(
+                    (math.sqrt(0.75) + math.sqrt(0.125) * rng.standard_normal(n)) ** 2
+                    + (math.sqrt(0.125) * rng.standard_normal(n)) ** 2
+                ),
+            ),
+        ],
+    )
+    def test_stream_order_with_and_without_buffers(self, fading, reference):
+        size = (30, 70)
+        expected = reference(np.random.default_rng(4), size)
+        out, work = np.empty(size), np.empty(size)
+        buffered = fading.sample_gains(
+            np.random.default_rng(4), size, out=out, work=work
+        )
+        assert buffered is out
+        np.testing.assert_array_equal(buffered, expected)
+        np.testing.assert_array_equal(
+            fading.sample_gains(np.random.default_rng(4), size), expected
+        )
 
     def test_no_fading_is_ones(self, rng):
         assert np.all(NoFading().sample_gains(rng, 10) == 1.0)

@@ -92,6 +92,37 @@ class TestSimulate:
         assert code == 4
         assert "check failed" in capsys.readouterr().err
 
+    def test_check_that_compares_nothing_fails(self, tmp_path, capsys):
+        # heterogeneous noise has no analytic variance: nothing to compare
+        d = _tiny_spec_dict(
+            kind="heterogeneous-consistency",
+            sweep={"parameter": "n_sensors", "values": [50, 100]},
+            trials=50,
+        )
+        d["network"]["noise"] = {
+            "kind": "heterogeneous",
+            "base": {"kind": "gaussian", "variance": 1.0},
+            "rule": {"kind": "bounded", "sigma_max": 1.0},
+        }
+        cfg = _write_config(tmp_path, d)
+        assert main(["hetero", "--config", cfg, "--check"]) == 4
+        assert "no sweep point" in capsys.readouterr().err
+        assert main(["hetero", "--config", cfg]) == 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_check_fails_when_every_trial_is_degenerate(self, tmp_path):
+        # at scale 1e305 about one draw in 2800 overflows to inf; with 50000
+        # sensors every trial has some, so no finite estimate is left
+        d = _tiny_spec_dict(
+            sweep={"parameter": "omega", "values": [0.5]}, trials=4
+        )
+        d["network"]["n_sensors"] = 50_000
+        d["network"]["noise"] = {"kind": "cauchy", "scale": 1e305}
+        cfg = _write_config(tmp_path, d)
+        out = tmp_path / "r.csv"
+        assert main(["simulate", "--config", cfg, "--check", "--out", str(out)]) == 4
+        assert out.read_text().split("\n")[1].split(",")[1] == "0"  # n_trials
+
     def test_kind_mismatch_is_config_error(self, tmp_path):
         d = _tiny_spec_dict(
             kind="af-compare", sweep={"parameter": "theta", "values": [2.0]}

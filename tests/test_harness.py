@@ -17,10 +17,13 @@ from cmest.channel import (
 from cmest.errors import ConfigError
 from cmest.harness import (
     CSV_HEADER,
+    ExperimentResult,
     ExperimentSpec,
     Sweep,
+    SweepRecord,
     TrialAccumulator,
     check_against_analytic,
+    compared_points,
     result_to_csv,
     result_to_json,
     run_af_compare,
@@ -348,6 +351,25 @@ class TestHeterogeneousConsistency:
         linear = tracks["linear-growth"].metadata["mse_by_point"]
         assert bounded[1] < bounded[0] < 0.05
         assert linear[1] > 10.0 * bounded[1]  # the stalled track stays high
+        for result in tracks.values():
+            assert result.metadata["degenerate_trials"] == [0, 0]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_degenerate_trials_counted_on_both_tracks(self):
+        # scale 1e305: some draws overflow to inf and their trials are dropped
+        noise = HeterogeneousScaled(Cauchy(1e305), BoundedScales(1.0))
+        spec = _spec(
+            kind="heterogeneous-consistency",
+            network=_network(noise=noise, power=PerSensorPower(1.0)),
+            sweep=Sweep("n_sensors", (100.0, 200.0)),
+            trials=400,
+        )
+        for result in run_heterogeneous_consistency(spec).values():
+            degenerate = result.metadata["degenerate_trials"]
+            assert [r.n_trials + d for r, d in zip(result.records, degenerate)] == [
+                400, 400
+            ]
+            assert sum(degenerate) > 0
 
     def test_requires_heterogeneous_noise(self):
         spec = _spec(
@@ -443,3 +465,15 @@ class TestCheck:
         assert check_against_analytic(result, tolerance=0.2) == []
         failures = check_against_analytic(result, tolerance=1e-9)
         assert failures and {"sweep_value", "relative_deviation"} <= set(failures[0])
+        assert compared_points(result) == 2
+
+    def test_point_without_finite_trials_fails(self):
+        # theory has a value, the simulation none: not a pass
+        records = [
+            SweepRecord(0.3, 0, math.nan, math.nan, 1.2, 0.0),
+            SweepRecord(0.5, 0, math.nan, math.nan, math.nan, 0.0),
+        ]
+        result = ExperimentResult(records=records, metadata={})
+        failures = check_against_analytic(result, tolerance=0.5)
+        assert [(f["sweep_value"], f["n_trials"]) for f in failures] == [(0.3, 0)]
+        assert compared_points(result) == 0

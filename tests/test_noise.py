@@ -14,6 +14,7 @@ from cmest.noise import (
     HeterogeneousScaled,
     Laplace,
     LinearGrowthScales,
+    NoiseModel,
     Uniform,
     class_a_mgf,
 )
@@ -191,6 +192,18 @@ class TestSamplers:
         kurt = np.mean(draws ** 4) / np.mean(draws ** 2) ** 2 - 3.0
         assert kurt > 5.0
 
+    @pytest.mark.parametrize("model", ALL_IID_MODELS)
+    def test_buffered_sensor_draw_equals_sample(self, model):
+        # Gaussian, Cauchy and uniform write into the caller's buffer; every
+        # model returns the values of one allocating draw, bit for bit
+        buf = np.empty((8, 300))
+        drawn = model.sample_sensors(np.random.default_rng(21), 5, 300, out=buf[:5])
+        np.testing.assert_array_equal(
+            drawn, model.sample(np.random.default_rng(21), (5, 300))
+        )
+        in_place = isinstance(model, (Gaussian, Cauchy, Uniform))
+        assert np.shares_memory(drawn, buf) == in_place
+
     def test_scalar_draws(self, rng):
         for model in ALL_IID_MODELS:
             x = model.sample(rng)
@@ -224,6 +237,32 @@ class TestHeterogeneous:
         np.testing.assert_allclose(
             rule(np.array([1, 4, 9])), [1.5, 3.0, 4.5], rtol=1e-14
         )
+
+    def test_buffered_draw_scaled_in_place(self):
+        rule = LinearGrowthScales(sigma=1.5)
+        het = HeterogeneousScaled(Gaussian(1.0), rule)
+        buf = np.empty((10, 40))
+        drawn = het.sample_sensors(np.random.default_rng(8), 10, 40, out=buf)
+        expected = Gaussian(1.0).sample(np.random.default_rng(8), (10, 40)) * rule(
+            np.arange(1, 41)
+        )
+        np.testing.assert_array_equal(drawn, expected)
+        assert np.shares_memory(drawn, buf)
+
+    def test_one_sampling_call_per_matrix(self, monkeypatch):
+        # the base is drawn through its sampler, not its sample_sensors entry
+        # point, so a scaled matrix is not counted as two noise draws
+        calls = []
+        original = NoiseModel.sample_sensors
+
+        def counting(self, *args, **kwargs):
+            calls.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(NoiseModel, "sample_sensors", counting)
+        het = HeterogeneousScaled(Gaussian(1.0), BoundedScales(1.0))
+        het.sample_sensors(np.random.default_rng(1), 3, 20)
+        assert calls == []
 
     def test_column_scaling(self, rng):
         het = HeterogeneousScaled(Gaussian(1.0), LinearGrowthScales(sigma=1.0))
