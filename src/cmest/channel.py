@@ -15,8 +15,10 @@ sensor-sample budget.  Each chunk draws its sensing noise, then its fading
 gains (if any): Rayleigh draws one unit exponential per gain, Ricean the
 chunk's real-part normal block, then its imaginary-part block.  Channel
 noise for the whole batch is drawn after the last chunk.  Identical seed and
-config replay bit-identically.  Noise and gains are drawn into work arrays
-allocated once per batch.
+config replay bit-identically.  Fading gains, and Gaussian, Cauchy and
+uniform noise, are drawn into work arrays allocated once per batch; Laplace
+and Class-A noise (also as the base of per-sensor scaling) still allocate
+per chunk.
 
 Precision of the constant-modulus kernel: the phase omega*eta is formed and
 wrapped to [-pi, pi] in float64, its cos/sin are taken in float32 (about

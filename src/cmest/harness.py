@@ -629,16 +629,18 @@ def compared_points(result: ExperimentResult) -> int:
 def check_against_analytic(result: ExperimentResult, tolerance: float) -> List[Dict]:
     """Points where simulation and analytic variance disagree beyond tolerance.
 
-    A point with a finite analytic value but no finite trial fails.  Other
-    points without a finite analytic value or without a variance estimate
-    are not compared; see ``compared_points``.
+    A point with a finite analytic value that was given at least two trials
+    (finite ones plus the track's ``degenerate_trials``) fails when it has
+    no finite variance estimate.  Points without a finite analytic value,
+    and single-draw points, are not compared; see ``compared_points``.
     """
+    degenerate = result.metadata.get("degenerate_trials", [0] * len(result.records))
     failures = []
-    for rec in result.records:
-        if math.isfinite(rec.analytic_asv) and rec.n_trials == 0:
-            rel = math.nan  # theory has a value, the simulation none
-        elif _is_compared(rec):
+    for rec, n_degenerate in zip(result.records, degenerate):
+        if _is_compared(rec):
             rel = abs(rec.normalized_variance / rec.analytic_asv - 1.0)
+        elif math.isfinite(rec.analytic_asv) and rec.n_trials + n_degenerate >= 2:
+            rel = math.nan  # drawn for a variance, but none came out
         else:
             continue
         if not rel <= tolerance:

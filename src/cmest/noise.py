@@ -110,8 +110,8 @@ class NoiseModel:
         return self._sample_block(rng, (n_trials, n_sensors), out)
 
     def _sample_block(self, rng, size, out) -> np.ndarray:
-        """``sample(rng, size)``; models with a bit-identical in-place draw
-        override this to write it into ``out`` when one is given."""
+        """``sample(rng, size)``.  Models that can draw in place override
+        this to write into ``out`` when one is given, and sample through it."""
         return self.sample(rng, size)
 
 
@@ -133,12 +133,12 @@ class Gaussian(NoiseModel):
         return 0.0
 
     def sample(self, rng, size=None, sensor_index=1):
-        return math.sqrt(self.variance_) * rng.standard_normal(size)
+        return self._sample_block(rng, size, None)
 
     def _sample_block(self, rng, size, out):
-        out = rng.standard_normal(size, out=out)
-        out *= math.sqrt(self.variance_)
-        return out
+        draw = rng.standard_normal(size, out=out)
+        draw *= math.sqrt(self.variance_)
+        return draw
 
 
 @dataclass(frozen=True)
@@ -182,16 +182,16 @@ class Cauchy(NoiseModel):
         return np.exp(-self.scale * np.abs(omega))
 
     def sample(self, rng, size=None, sensor_index=1):
-        # Inversion: gamma * tan(pi (U - 1/2)).
-        return self.scale * np.tan(np.pi * (rng.random(size) - 0.5))
+        return self._sample_block(rng, size, None)
 
     def _sample_block(self, rng, size, out):
-        out = rng.random(size, out=out)
-        out -= 0.5
-        out *= np.pi
-        np.tan(out, out=out)
-        out *= self.scale
-        return out
+        # Inversion: gamma * tan(pi (U - 1/2)).
+        draw = rng.random(size, out=out)
+        draw -= 0.5
+        draw *= np.pi
+        draw = np.tan(draw, out=out)
+        draw *= self.scale
+        return draw
 
 
 @dataclass(frozen=True)
@@ -223,16 +223,15 @@ class Uniform(NoiseModel):
         return -1.2
 
     def sample(self, rng, size=None, sensor_index=1):
-        a = self.half_width
-        return rng.uniform(-a, a, size)
+        return self._sample_block(rng, size, None)
 
     def _sample_block(self, rng, size, out):
-        # numpy's own order: low + (high - low) * u
+        # rng.uniform(-a, a)'s own order: low + (high - low) * u
         a = self.half_width
-        out = rng.random(size, out=out)
-        out *= 2.0 * a
-        out += -a
-        return out
+        draw = rng.random(size, out=out)
+        draw *= 2.0 * a
+        draw += -a
+        return draw
 
 
 @dataclass(frozen=True)

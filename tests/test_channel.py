@@ -13,6 +13,7 @@ from cmest.channel import (
     RiceanFading,
     Snapshot,
     TotalPower,
+    _row_chunks,
     _wrap_to_float32,
     af_gain,
     af_snapshot_batch,
@@ -191,6 +192,24 @@ def _reference_cm_batch(config, n_trials, rng):
     return y + sigma * (rng.standard_normal(n_trials) + 1j * rng.standard_normal(n_trials))
 
 
+def _reference_faded_cm_batch(config, n_trials, rng):
+    """Float64 kernel over the streaming kernel's row chunks, each drawing
+    its noise, then its gains, through the allocating samplers."""
+    L = config.n_sensors
+    y = np.empty(n_trials, dtype=complex)
+    for chunk in _row_chunks(n_trials, L):
+        rows = chunk.stop - chunk.start
+        eta = config.noise.sample_sensors(rng, rows, L)
+        gains = config.fading.sample_gains(rng, (rows, L))
+        phase = config.omega * (config.theta + eta)
+        y[chunk] = (gains * np.cos(phase)).sum(axis=1) + 1j * (
+            gains * np.sin(phase)
+        ).sum(axis=1)
+    y *= math.sqrt(config.per_sensor_power)
+    sigma = math.sqrt(config.channel_noise_variance / 2.0)
+    return y + sigma * (rng.standard_normal(n_trials) + 1j * rng.standard_normal(n_trials))
+
+
 def _reference_af_batch(config, nominal_variance, n_trials, rng):
     """Whole-matrix AF kernel: one (n_trials, L) noise draw, summed by row."""
     eta = config.noise.sample_sensors(rng, n_trials, config.n_sensors)
@@ -208,6 +227,17 @@ class TestStreamingKernel:
         cfg = _config(noise=noise)
         y = cm_snapshot_batch(cfg, 1000, np.random.default_rng(5))
         y_ref = _reference_cm_batch(cfg, 1000, np.random.default_rng(5))
+        est = cm_estimates(y, cfg.n_sensors, cfg.omega, cfg.power)
+        est_ref = cm_estimates(y_ref, cfg.n_sensors, cfg.omega, cfg.power)
+        assert np.max(np.abs(est - est_ref)) <= 1e-5 * np.std(est_ref)
+
+    @pytest.mark.parametrize("fading", [RayleighFading(), RiceanFading(k_factor=5.0)])
+    def test_faded_cm_matches_float64_reference_on_shared_draws(self, fading):
+        # Ricean gains use the cosine work array as scratch: drawing them
+        # after the cosines would overwrite those and fail this comparison
+        cfg = _config(fading=fading)
+        y = cm_snapshot_batch(cfg, 1000, np.random.default_rng(7))
+        y_ref = _reference_faded_cm_batch(cfg, 1000, np.random.default_rng(7))
         est = cm_estimates(y, cfg.n_sensors, cfg.omega, cfg.power)
         est_ref = cm_estimates(y_ref, cfg.n_sensors, cfg.omega, cfg.power)
         assert np.max(np.abs(est - est_ref)) <= 1e-5 * np.std(est_ref)

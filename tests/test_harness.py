@@ -468,12 +468,28 @@ class TestCheck:
         assert compared_points(result) == 2
 
     def test_point_without_finite_trials_fails(self):
-        # theory has a value, the simulation none: not a pass
+        # theory has a value and 400 trials were drawn, but none is finite
         records = [
             SweepRecord(0.3, 0, math.nan, math.nan, 1.2, 0.0),
             SweepRecord(0.5, 0, math.nan, math.nan, math.nan, 0.0),
         ]
-        result = ExperimentResult(records=records, metadata={})
+        result = ExperimentResult(
+            records=records, metadata={"degenerate_trials": [400, 400]}
+        )
         failures = check_against_analytic(result, tolerance=0.5)
         assert [(f["sweep_value"], f["n_trials"]) for f in failures] == [(0.3, 0)]
         assert compared_points(result) == 0
+
+    def test_single_draw_point_is_not_compared(self):
+        # a one-trial trace (as in cauchy-robustness) has no variance whether
+        # its draw came out finite or degenerate: same verdict either way
+        records = [
+            SweepRecord(100.0, 1, math.nan, math.nan, 1.2, 0.3),
+            SweepRecord(200.0, 0, math.nan, math.nan, 1.2, 0.0),
+        ]
+        result = ExperimentResult(
+            records=records, metadata={"degenerate_trials": [0, 1]}
+        )
+        assert check_against_analytic(result, tolerance=0.5) == []
+        assert compared_points(result) == 0
+

@@ -204,6 +204,21 @@ class TestSamplers:
         in_place = isinstance(model, (Gaussian, Cauchy, Uniform))
         assert np.shares_memory(drawn, buf) == in_place
 
+    @pytest.mark.parametrize(
+        "model, textbook",
+        [
+            (Gaussian(2.5), lambda rng, s: math.sqrt(2.5) * rng.standard_normal(s)),
+            (Cauchy(0.5), lambda rng, s: 0.5 * np.tan(np.pi * (rng.random(s) - 0.5))),
+            (Uniform(1.0), lambda rng, s: rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), s)),
+        ],
+    )
+    @pytest.mark.parametrize("size", [None, 9, (4, 300)])
+    def test_in_place_draw_equals_textbook_formula(self, model, textbook, size):
+        # the in-place arithmetic must keep the bits of the one-expression draw
+        drawn = model.sample(np.random.default_rng(5), size)
+        np.testing.assert_array_equal(drawn, textbook(np.random.default_rng(5), size))
+        assert np.ndim(drawn) == np.ndim(textbook(np.random.default_rng(5), size))
+
     def test_scalar_draws(self, rng):
         for model in ALL_IID_MODELS:
             x = model.sample(rng)
