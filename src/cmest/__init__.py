@@ -20,22 +20,18 @@ from .channel import (
     PerSensorPower,
     RayleighFading,
     RiceanFading,
-    Snapshot,
     TotalPower,
 )
 from .errors import (
     AllGridInvalidError,
     CfZeroError,
     ConfigError,
-    DegenerateInputError,
     DomainError,
     MomentUndefinedError,
     NonConvergenceError,
     RootNotFoundError,
-    SingularAngleError,
     UnsupportedModelError,
 )
-from .estimators import Estimate
 from .harness import ExperimentResult, ExperimentSpec, Sweep, TrialAccumulator
 from .noise import (
     BoundedScales,
@@ -66,9 +62,7 @@ __all__ = [
     "PerSensorPower",
     "RayleighFading",
     "RiceanFading",
-    "Snapshot",
     "TotalPower",
-    "Estimate",
     "ExperimentResult",
     "ExperimentSpec",
     "Sweep",
@@ -85,11 +79,9 @@ __all__ = [
     "AllGridInvalidError",
     "CfZeroError",
     "ConfigError",
-    "DegenerateInputError",
     "DomainError",
     "MomentUndefinedError",
     "NonConvergenceError",
     "RootNotFoundError",
-    "SingularAngleError",
     "UnsupportedModelError",
 ]

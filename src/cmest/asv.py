@@ -24,7 +24,7 @@ import numpy as np
 
 from . import specfun
 from .channel import FadingModel, NoFading, RayleighFading, RiceanFading
-from .errors import CfZeroError, ConfigError, DomainError, SingularAngleError
+from .errors import CfZeroError, ConfigError, DomainError
 from .noise import NoiseModel, class_a_mgf
 
 __all__ = [
@@ -110,11 +110,13 @@ def asv_generic(ctx: AsvContext, omega: float) -> float:
             "the estimator is not identifiable there"
         )
     phi2 = float(ctx.noise.cf(2.0 * omega))
-    return (
-        ctx.fading_penalty
-        * (ctx.snr_inv + 1.0 - phi2)
-        / (2.0 * omega ** 2 * phi1 ** 2)
-    )
+    denominator = 2.0 * omega ** 2 * phi1 ** 2
+    if denominator == 0.0:
+        raise DomainError(
+            f"omega={omega} is too small: 2*omega^2*phi(omega)^2 underflows "
+            "float64 to 0"
+        )
+    return ctx.fading_penalty * (ctx.snr_inv + 1.0 - phi2) / denominator
 
 
 def asv_gaussian(variance: float, snr_inv: float, omega: float) -> float:
@@ -267,17 +269,12 @@ class CovarianceTerms:
         )
 
 
-#: |cos(w theta)| below which the tangent-based gradient form is singular.
-_SINGULAR_COS = 1e-6
-
-
 def appendix_covariance(
     noise: NoiseModel,
     omega: float,
     theta: float,
     p_t: float,
     sigma_v2: float,
-    form: str = "auto",
 ) -> CovarianceTerms:
     """Covariance/gradient cross-check terms for the delta method.
 
@@ -289,13 +286,9 @@ def appendix_covariance(
         sigma22 = P_T [c^2 v_s + s^2 v_c] + sigma_v^2/2
         sigma12 = P_T s c (v_c - v_s)
 
-    ``form`` picks how the gradients are computed: "tan" uses the raw
-    tangent expression g1 = -(1/w) * cos^2 * tan / (sqrt(P_T) phi c), which
-    is singular at w*theta = pi/2 mod pi (SingularAngleError); "sincos" uses
-    the algebraically identical g1 = -s/(w sqrt(P_T) phi),
-    g2 = c/(w sqrt(P_T) phi), defined everywhere.  "auto" uses the tangent
-    route away from the singularity and switches to sincos near it, so the
-    composite never inherits the removable singularity.
+    and the phase-map gradients g1 = -s/(w sqrt(P_T) phi),
+    g2 = c/(w sqrt(P_T) phi), defined at every angle (the tangent form of
+    the same gradient has a removable singularity at w*theta = pi/2 mod pi).
     """
     omega = _check_omega(omega)
     phi1 = float(noise.cf(omega))
@@ -312,20 +305,8 @@ def appendix_covariance(
     sigma12 = p_t * s * c * (v_c - v_s)
 
     root = math.sqrt(p_t) * phi1
-    if form not in ("auto", "tan", "sincos"):
-        raise ConfigError(f"unknown gradient form {form!r}")
-    use_tan = form == "tan" or (form == "auto" and abs(c) >= _SINGULAR_COS)
-    if use_tan:
-        if abs(c) < _SINGULAR_COS:
-            raise SingularAngleError(
-                f"tangent form singular at omega*theta={omega * theta:.6g}"
-            )
-        t = s / c
-        g1 = -(1.0 / omega) * (1.0 / (1.0 + t * t)) * t / (root * c)
-        g2 = -g1 / t if t != 0.0 else c / (omega * root)
-    else:
-        g1 = -s / (omega * root)
-        g2 = c / (omega * root)
+    g1 = -s / (omega * root)
+    g2 = c / (omega * root)
     return CovarianceTerms(sigma11, sigma12, sigma22, v_c, v_s, g1, g2)
 
 

@@ -46,10 +46,7 @@ __all__ = [
     "RiceanFading",
     "FadingModel",
     "NetworkConfig",
-    "Snapshot",
-    "simulate_cm_snapshot",
     "cm_snapshot_batch",
-    "simulate_af_snapshot",
     "af_snapshot_batch",
     "af_gain",
 ]
@@ -123,7 +120,7 @@ class RiceanFading:
     k_factor: float
 
     def __post_init__(self):
-        if self.k_factor < 0.0:
+        if not self.k_factor >= 0.0:
             raise ConfigError(f"Ricean K factor must be >= 0, got {self.k_factor}")
 
     def sample_gains(self, rng, size, out=None, work=None):
@@ -169,7 +166,7 @@ class NetworkConfig:
     def __post_init__(self):
         if self.n_sensors < 1:
             raise ConfigError(f"need at least one sensor, got {self.n_sensors}")
-        if self.theta_range <= 0.0:
+        if not self.theta_range > 0.0:
             raise ConfigError(f"theta_range must be > 0, got {self.theta_range}")
         if not 0.0 <= self.theta <= self.theta_range:
             raise ConfigError(
@@ -193,15 +190,6 @@ class NetworkConfig:
     @property
     def per_sensor_power(self) -> float:
         return self.power.per_sensor_power(self.n_sensors)
-
-
-@dataclass(frozen=True)
-class Snapshot:
-    """Received fusion-center value for one time snapshot."""
-
-    y: complex
-    n_sensors: int
-    config: NetworkConfig
 
 
 def _channel_noise(rng, sigma_v2: float, n: int) -> np.ndarray:
@@ -300,12 +288,6 @@ def cm_snapshot_batch(
     return y
 
 
-def simulate_cm_snapshot(config: NetworkConfig, rng: np.random.Generator) -> Snapshot:
-    """One constant-modulus snapshot."""
-    y = cm_snapshot_batch(config, 1, rng)
-    return Snapshot(y=complex(y[0]), n_sensors=config.n_sensors, config=config)
-
-
 def af_gain(config: NetworkConfig, nominal_variance: float) -> float:
     """Amplify-and-forward gain meeting the average total-power constraint.
 
@@ -352,11 +334,3 @@ def af_snapshot_batch(
     if config.channel_noise_variance > 0.0:
         y = y + _channel_noise(rng, config.channel_noise_variance, n_trials)
     return y
-
-
-def simulate_af_snapshot(
-    config: NetworkConfig, nominal_variance: float, rng: np.random.Generator
-) -> Snapshot:
-    """One amplify-and-forward snapshot (total power budget, no fading)."""
-    y = af_snapshot_batch(config, nominal_variance, rng, n_trials=1)
-    return Snapshot(y=complex(y[0]), n_sensors=config.n_sensors, config=config)

@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,12 +27,11 @@ from .harness import (
     compared_points,
     fading_from_dict,
     noise_from_dict,
-    result_to_csv,
-    result_to_json,
+    render,
     spec_from_dict,
+    write_text,
     write_tracks,
 )
-from .noise import Cauchy, Gaussian, Laplace, Uniform
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -121,7 +120,7 @@ def _curve_result(cfg: dict) -> ExperimentResult:
     )
     ctx = asv.AsvContext(
         noise=noise_from_dict(cfg["noise"]),
-        snr_inv=float(cfg.get("snr_inv", 0.0)),
+        snr_inv=harness._number(cfg.get("snr_inv", 0.0), "snr_inv"),
         fading_penalty=asv.fading_penalty(
             fading_from_dict(cfg.get("fading", {"kind": "none"}))
         ),
@@ -131,12 +130,15 @@ def _curve_result(cfg: dict) -> ExperimentResult:
         values = asv.asv_on_grid(ctx, omegas)
         if not np.all(np.isfinite(values)):
             raise CfZeroError(
-                "requested grid hits a characteristic-function zero"
+                "requested grid hits a characteristic-function zero or a "
+                "value outside float64 range"
             )
         curve = asv.AsvCurve(omegas=omegas, values=values)
     else:
         curve = asv.sample_curve(
-            ctx, float(cfg["theta_range"]), int(cfg.get("n_points", 2000))
+            ctx,
+            harness._number(cfg["theta_range"], "theta_range"),
+            harness._integer(cfg.get("n_points", 2000), "n_points"),
         )
     records = [
         SweepRecord(
@@ -153,14 +155,6 @@ def _curve_result(cfg: dict) -> ExperimentResult:
     return ExperimentResult(records=records, metadata=metadata)
 
 
-_CLOSED_FORM_SOLVERS = {
-    Gaussian: lambda n, s, tr: optimize.omega_star_gaussian(n.variance_, s, tr),
-    Laplace: lambda n, s, tr: optimize.omega_star_laplace(n.variance_, s, tr),
-    Uniform: lambda n, s, tr: optimize.omega_star_uniform(n.variance_, s, tr),
-    Cauchy: lambda n, s, tr: optimize.omega_star_cauchy(n.scale, s, tr),
-}
-
-
 def _optimize_result(cfg: dict) -> dict:
     harness._take(
         cfg,
@@ -168,47 +162,30 @@ def _optimize_result(cfg: dict) -> dict:
         ["noise", "theta_range"],
         optional=["snr_inv", "method"],
     )
-    noise = noise_from_dict(cfg["noise"])
-    snr_inv = float(cfg.get("snr_inv", 0.0))
-    theta_range = float(cfg["theta_range"])
-    method = cfg.get("method", "auto")
-    solver = _CLOSED_FORM_SOLVERS.get(type(noise))
-    if method not in ("auto", "closed", "numeric"):
-        raise ConfigError(f"unknown optimizer method {method!r}")
-    if method == "closed" and solver is None:
-        raise ConfigError(f"no closed-form solver for {type(noise).__name__}")
-    if method == "numeric" or solver is None:
-        star = optimize.omega_star_numeric(noise, snr_inv, theta_range)
-    else:
-        star = solver(noise, snr_inv, theta_range)
-    return {
-        "omega": star.omega,
-        "beta": star.beta,
-        "clamped": star.clamped,
-        "at_origin": star.at_origin,
-        "asv_at_opt": star.asv_at_opt,
-        "method": star.method,
-    }
+    star = optimize.omega_star(
+        noise_from_dict(cfg["noise"]),
+        harness._number(cfg.get("snr_inv", 0.0), "snr_inv"),
+        harness._number(cfg["theta_range"], "theta_range"),
+        cfg.get("method", "auto"),
+    )
+    return asdict(star)
 
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        path = Path(out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        write_text(out, text)
 
 
 def _emit_tracks(tracks: dict, args) -> None:
     if args.out is not None:
         write_tracks(tracks, args.out, args.format)
         return
-    render = result_to_csv if args.format == "csv" else result_to_json
     for label, result in tracks.items():
         if len(tracks) > 1:
             sys.stdout.write(f"# track: {label}\n")
-        sys.stdout.write(render(result))
+        sys.stdout.write(render(result, args.format))
 
 
 def _load_specs(args, allowed_kinds) -> list:
@@ -279,8 +256,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "asv-curve":
             result = _curve_result(_load_json(args.config))
-            render = result_to_csv if args.format == "csv" else result_to_json
-            _emit(render(result), args.out)
+            _emit(render(result, args.format), args.out)
             return _EXIT_OK
         if args.command == "optimize-omega":
             res = _optimize_result(_load_json(args.config))

@@ -33,14 +33,6 @@ class CfZeroError(CmestError, ArithmeticError):
     """The characteristic function vanishes at the requested frequency."""
 
 
-class SingularAngleError(CmestError, ArithmeticError):
-    """The tangent-based sensitivity form is singular at this angle."""
-
-
-class DegenerateInputError(CmestError, ValueError):
-    """The received signal carries no phase information (|z| = 0)."""
-
-
 class RootNotFoundError(CmestError, RuntimeError):
     """A bracketing root search found no sign change."""
 
@@ -56,8 +48,6 @@ NUMERIC_ERRORS = (
     MomentUndefinedError,
     UnsupportedModelError,
     CfZeroError,
-    SingularAngleError,
-    DegenerateInputError,
     RootNotFoundError,
     AllGridInvalidError,
 )

@@ -9,78 +9,36 @@ kept as-is.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PowerMode, Snapshot, TotalPower
-from .errors import DegenerateInputError
+from .channel import PowerMode, TotalPower
 
-__all__ = ["Estimate", "estimate_cm", "cm_estimates", "estimate_af", "af_estimates"]
+__all__ = ["cm_estimates", "af_estimates"]
 
 _TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class Estimate:
-    """Phase-estimator output: theta estimate and the pre-division angle."""
-
-    value: float
-    raw_angle: float  # in [0, 2*pi)
-    normalization: PowerMode
-
-
-def _angles(y: np.ndarray) -> np.ndarray:
-    """Four-quadrant angle remapped from (-pi, pi] to [0, 2*pi)."""
-    return np.mod(np.angle(y), _TWO_PI)
 
 
 def cm_estimates(
     y: np.ndarray, n_sensors: int, omega: float, power: PowerMode
 ) -> np.ndarray:
-    """Vectorized phase estimates; degenerate inputs (|y| = 0) map to NaN.
+    """Vectorized phase estimates angle(z)/omega; degenerate inputs (|y| = 0)
+    map to NaN.
 
-    The normalization (y/sqrt(L) under a total power budget, y/L per-sensor)
-    does not change the angle; it is applied so the degenerate check sees the
-    quantity whose law-of-large-numbers limit carries the phase.
+    The four-quadrant angle is remapped from (-pi, pi] to [0, 2*pi), so the
+    whole principal range of omega*theta is recoverable, which the scalar
+    arctangent of Im/Re alone cannot cover.  The normalization (y/sqrt(L)
+    under a total power budget, y/L per-sensor) does not change the angle;
+    it is applied so the degenerate check sees the quantity whose
+    law-of-large-numbers limit carries the phase.
     """
     y = np.asarray(y)
     scale = math.sqrt(n_sensors) if isinstance(power, TotalPower) else float(n_sensors)
     z = y / scale
-    est = _angles(z) / omega
+    est = np.mod(np.angle(z), _TWO_PI) / omega
     return np.where(np.abs(z) == 0.0, np.nan, est)
-
-
-def estimate_cm(snapshot: Snapshot, omega: float, power: PowerMode) -> Estimate:
-    """Phase estimate theta_hat = angle(z_L) / omega from one snapshot.
-
-    The four-quadrant angle is remapped to [0, 2*pi) so the whole principal
-    range of omega*theta is recoverable, which the scalar arctangent of
-    Im/Re alone cannot cover.
-
-    Raises DegenerateInputError when |z_L| = 0 (phase undefined); that event
-    has probability zero under continuous noise, so it indicates a
-    pathological configuration rather than bad luck.
-    """
-    scale = (
-        math.sqrt(snapshot.n_sensors)
-        if isinstance(power, TotalPower)
-        else float(snapshot.n_sensors)
-    )
-    z = snapshot.y / scale
-    if abs(z) == 0.0:
-        raise DegenerateInputError("received value has zero modulus, phase undefined")
-    raw = float(_angles(np.asarray(z)))
-    return Estimate(value=raw / omega, raw_angle=raw, normalization=power)
 
 
 def af_estimates(y: np.ndarray, n_sensors: int, alpha_l: float) -> np.ndarray:
     """Vectorized amplify-and-forward estimates Re{y} / (L * alpha_L)."""
     return np.real(np.asarray(y)) / (n_sensors * alpha_l)
-
-
-def estimate_af(snapshot: Snapshot, alpha_l: float) -> float:
-    """Amplify-and-forward estimate from one snapshot; unclamped."""
-    if alpha_l <= 0.0:
-        raise DegenerateInputError(f"AF gain must be > 0, got {alpha_l}")
-    return float(snapshot.y.real / (snapshot.n_sensors * alpha_l))

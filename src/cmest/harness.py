@@ -1,5 +1,12 @@
 """Reproducible Monte Carlo engine, experiment configs, and result files.
 
+Every experiment kind is a list of track plans run by one engine.  A plan
+names its track, the network the sweep is applied to, how a block of trials
+becomes estimation errors, the analytic value of a point, its seed phase and
+its trials per point; a kind may add a post-processor over the finished
+tracks (fading ratios, the AF flatness regression, robustness medians and
+KS test, heterogeneous MSE).
+
 Trials are simulated in fixed-size blocks of ``BLOCK_TRIALS``.  Each block
 draws from its own child stream, derived counter-style from the root seed
 as SeedSequence(seed, spawn_key=(phase, point_index, block_index)), so
@@ -14,6 +21,7 @@ median-|error| track, since Cauchy errors have no variance.
 
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -25,11 +33,9 @@ from scipy import stats as _sstats
 
 from . import asv
 from .channel import (
-    FadingModel,
     NetworkConfig,
     NoFading,
     PerSensorPower,
-    PowerMode,
     RayleighFading,
     RiceanFading,
     TotalPower,
@@ -64,24 +70,13 @@ __all__ = [
     "ExperimentSpec",
     "SweepRecord",
     "ExperimentResult",
-    "run_experiment",
-    "run_fading_compare",
-    "run_af_compare",
-    "run_cauchy_robustness",
-    "run_heterogeneous_consistency",
     "run_kind",
     "check_against_analytic",
     "compared_points",
     "spec_from_dict",
     "spec_to_dict",
     "noise_from_dict",
-    "noise_to_dict",
     "fading_from_dict",
-    "fading_to_dict",
-    "power_from_dict",
-    "power_to_dict",
-    "network_from_dict",
-    "network_to_dict",
     "write_result",
     "write_tracks",
     "CSV_HEADER",
@@ -89,15 +84,6 @@ __all__ = [
 
 #: Trials per simulation block; fixed so seed lineage is thread-count free.
 BLOCK_TRIALS = 4096
-
-EXPERIMENT_KINDS = (
-    "asv-vs-omega",
-    "var-vs-L",
-    "fading-compare",
-    "af-compare",
-    "cauchy-robustness",
-    "heterogeneous-consistency",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +98,6 @@ class TrialAccumulator:
     n: int = 0
     mean: float = 0.0
     m2: float = 0.0  # sum of squared deviations from the running mean
-
-    def add(self, x: float) -> None:
-        self.n += 1
-        delta = x - self.mean
-        self.mean += delta / self.n
-        self.m2 += delta * (x - self.mean)
 
     def add_batch(self, xs: np.ndarray) -> None:
         xs = np.asarray(xs, dtype=float)
@@ -173,7 +153,13 @@ class Sweep:
             )
         if len(self.values) == 0:
             raise ConfigError("sweep must contain at least one value")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        values = tuple(float(v) for v in self.values)
+        for v in values:
+            if not math.isfinite(v):
+                raise ConfigError(f"sweep values must be finite, got {v}")
+            if self.parameter == "n_sensors" and not v.is_integer():
+                raise ConfigError(f"n_sensors sweep values must be integers, got {v}")
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -188,9 +174,9 @@ class ExperimentSpec:
     af_nominal_variance: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        if self.kind not in _KINDS:
             raise ConfigError(
-                f"kind must be one of {EXPERIMENT_KINDS}, got {self.kind!r}"
+                f"kind must be one of {tuple(_KINDS)}, got {self.kind!r}"
             )
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
@@ -228,6 +214,28 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 
 ErrorFn = Callable[[NetworkConfig, int, np.random.Generator], np.ndarray]
+AnalyticFn = Callable[[NetworkConfig], float]
+
+
+@dataclass(frozen=True)
+class TrackPlan:
+    """One track of an experiment, as the engine runs it at every sweep point."""
+
+    label: str
+    network: NetworkConfig  # the sweep parameter is applied to this network
+    error_fn: ErrorFn
+    analytic_fn: AnalyticFn
+    phase: int  # first spawn-key entry of every block's seed
+    trials: int
+
+
+@dataclass
+class _Track:
+    """A finished track plus the per-point statistics post-processors read."""
+
+    result: ExperimentResult
+    accs: List[TrialAccumulator]
+    finite_errors: List[np.ndarray]  # per point, only when the kind keeps them
 
 
 def _block_sizes(trials: int) -> List[int]:
@@ -258,30 +266,66 @@ def _run_blocks(
     return [work(b) for b in range(len(sizes))]
 
 
-def _accumulate_point(
-    config: NetworkConfig,
-    error_fn: ErrorFn,
-    trials: int,
-    seed: int,
-    phase: int,
-    point_index: int,
-    threads: int,
-) -> Tuple[TrialAccumulator, int]:
-    acc = TrialAccumulator()
-    degenerate = 0
-    for errs in _run_blocks(config, error_fn, trials, seed, phase, point_index, threads):
-        finite = np.isfinite(errs)
-        degenerate += int(errs.size - finite.sum())
-        acc.add_batch(errs[finite])
-    return acc, degenerate
+def _apply_sweep(network: NetworkConfig, parameter: str, value: float) -> NetworkConfig:
+    if parameter == "n_sensors":
+        return replace(network, n_sensors=int(value))
+    return replace(network, **{parameter: float(value)})
 
 
-def _collect_point(
-    config, error_fn, trials, seed, phase, point_index, threads
-) -> np.ndarray:
-    return np.concatenate(
-        _run_blocks(config, error_fn, trials, seed, phase, point_index, threads)
+def _record(
+    sweep_value: float, acc: TrialAccumulator, analytic: float, n_sensors: int
+) -> SweepRecord:
+    nv = n_sensors * acc.variance
+    se = nv * math.sqrt(2.0 / (acc.n - 1)) if acc.n >= 3 else math.nan
+    return SweepRecord(
+        sweep_value=float(sweep_value),
+        n_trials=acc.n,
+        normalized_variance=nv,
+        std_error=se,
+        analytic_asv=analytic,
+        bias=acc.mean if acc.n else math.nan,  # no finite trial, no bias
     )
+
+
+def _run_track(
+    spec: ExperimentSpec, plan: TrackPlan, threads: int, keep_errors: bool = False
+) -> _Track:
+    """The one point loop: every sweep point of one track, blocks merged in order."""
+    t0 = time.perf_counter()
+    records, accs, kept, degenerates = [], [], [], []
+    for i, value in enumerate(spec.sweep.values):
+        config = _apply_sweep(plan.network, spec.sweep.parameter, value)
+        finite = [
+            errs[np.isfinite(errs)]
+            for errs in _run_blocks(
+                config, plan.error_fn, plan.trials, spec.seed, plan.phase, i, threads
+            )
+        ]
+        acc = TrialAccumulator()
+        for errs in finite:
+            acc.add_batch(errs)
+        records.append(_record(value, acc, plan.analytic_fn(config), config.n_sensors))
+        accs.append(acc)
+        degenerates.append(plan.trials - acc.n)
+        if keep_errors:
+            kept.append(np.concatenate(finite))
+    from cmest import __version__  # local import; package init re-exports this module
+
+    metadata = {
+        "kind": spec.kind,
+        "track": plan.label,
+        "seed": spec.seed,
+        "spec": spec_to_dict(spec),
+        "version": __version__,
+        "degenerate_trials": degenerates,
+    }
+    result = ExperimentResult(records, metadata, time.perf_counter() - t0)
+    return _Track(result, accs, kept)
+
+
+# ---------------------------------------------------------------------------
+# Experiment kinds: track plans and post-processors
+# ---------------------------------------------------------------------------
 
 
 def _cm_errors(config: NetworkConfig, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -296,12 +340,6 @@ def _make_af_errors(nominal_variance: float) -> ErrorFn:
         return af_estimates(y, config.n_sensors, alpha) - config.theta
 
     return fn
-
-
-def _apply_sweep(network: NetworkConfig, parameter: str, value: float) -> NetworkConfig:
-    if parameter == "n_sensors":
-        return replace(network, n_sensors=int(round(value)))
-    return replace(network, **{parameter: float(value)})
 
 
 def _analytic_cm(network: NetworkConfig) -> float:
@@ -337,100 +375,8 @@ def _analytic_af(network: NetworkConfig) -> float:
         return math.nan
 
 
-def _record(
-    sweep_value: float, acc: TrialAccumulator, analytic: float, n_sensors: int
-) -> SweepRecord:
-    nv = n_sensors * acc.variance
-    se = nv * math.sqrt(2.0 / (acc.n - 1)) if acc.n >= 3 else math.nan
-    return SweepRecord(
-        sweep_value=float(sweep_value),
-        n_trials=acc.n,
-        normalized_variance=nv,
-        std_error=se,
-        analytic_asv=analytic,
-        bias=acc.mean,
-    )
-
-
-def _base_metadata(spec: ExperimentSpec, track: str) -> Dict:
-    from cmest import __version__  # local import; package init re-exports this module
-
-    return {
-        "kind": spec.kind,
-        "track": track,
-        "seed": spec.seed,
-        "spec": spec_to_dict(spec),
-        "version": __version__,
-    }
-
-
-def _sweep_track(
-    spec: ExperimentSpec,
-    error_fn: ErrorFn,
-    analytic_fn: Callable[[NetworkConfig], float],
-    phase: int,
-    track: str,
-    threads: int,
-    network: Optional[NetworkConfig] = None,
-    trials: Optional[int] = None,
-) -> ExperimentResult:
-    network = network if network is not None else spec.network
-    trials = trials if trials is not None else spec.trials
-    t0 = time.perf_counter()
-    records = []
-    degenerates = []
-    for i, value in enumerate(spec.sweep.values):
-        config = _apply_sweep(network, spec.sweep.parameter, value)
-        acc, degen = _accumulate_point(
-            config, error_fn, trials, spec.seed, phase, i, threads
-        )
-        records.append(_record(value, acc, analytic_fn(config), config.n_sensors))
-        degenerates.append(degen)
-    metadata = _base_metadata(spec, track)
-    metadata["degenerate_trials"] = degenerates
-    return ExperimentResult(
-        records=records, metadata=metadata, wall_time_s=time.perf_counter() - t0
-    )
-
-
-def run_experiment(spec: ExperimentSpec, threads: int = 1) -> ExperimentResult:
-    """Constant-modulus sweep: normalized variance vs analytic value per point."""
-    if spec.kind not in ("asv-vs-omega", "var-vs-L"):
-        raise ConfigError(f"run_experiment cannot handle kind {spec.kind!r}")
-    expected = "omega" if spec.kind == "asv-vs-omega" else "n_sensors"
-    if spec.sweep.parameter != expected:
-        raise ConfigError(
-            f"kind {spec.kind!r} sweeps {expected!r}, got {spec.sweep.parameter!r}"
-        )
-    return _sweep_track(spec, _cm_errors, _analytic_cm, 0, "cm", threads)
-
-
-def run_fading_compare(
-    spec: ExperimentSpec, threads: int = 1
-) -> Dict[str, ExperimentResult]:
-    """The configured fading scenario next to its unfaded twin."""
-    if spec.kind != "fading-compare":
-        raise ConfigError(f"run_fading_compare got kind {spec.kind!r}")
-    if isinstance(spec.network.fading, NoFading):
-        raise ConfigError("fading-compare needs a fading model on the network")
-    faded = _sweep_track(spec, _cm_errors, _analytic_cm, 0, "faded", threads)
-    unfaded = _sweep_track(
-        spec,
-        _cm_errors,
-        _analytic_cm,
-        1,
-        "unfaded",
-        threads,
-        network=replace(spec.network, fading=NoFading()),
-    )
-    penalty = asv.fading_penalty(spec.network.fading)
-    ratios = [
-        f.normalized_variance / u.normalized_variance
-        for f, u in zip(faded.records, unfaded.records)
-    ]
-    faded.metadata["fading_penalty"] = penalty
-    faded.metadata["measured_ratio_by_point"] = ratios
-    return {"faded": faded, "unfaded": unfaded}
+def _no_analytic(network: NetworkConfig) -> float:
+    return math.nan
 
 
 def _resolve_af_nominal_variance(spec: ExperimentSpec) -> float:
@@ -445,124 +391,115 @@ def _resolve_af_nominal_variance(spec: ExperimentSpec) -> float:
         ) from exc
 
 
-def run_af_compare(spec: ExperimentSpec, threads: int = 1) -> Dict[str, ExperimentResult]:
-    """Constant-modulus and amplify-and-forward side by side on one sweep.
+def _cm_plan(label: str, network: NetworkConfig, phase: int, trials: int) -> TrackPlan:
+    return TrackPlan(label, network, _cm_errors, _analytic_cm, phase, trials)
 
-    For a network-size sweep the AF track's metadata carries a linear
+
+def _af_plan(spec: ExperimentSpec, label: str, phase: int, trials: int) -> TrackPlan:
+    af_errors = _make_af_errors(_resolve_af_nominal_variance(spec))
+    return TrackPlan(label, spec.network, af_errors, _analytic_af, phase, trials)
+
+
+def _cm_plans(spec: ExperimentSpec) -> List[TrackPlan]:
+    """Constant-modulus sweep: normalized variance vs analytic value per point."""
+    return [_cm_plan("cm", spec.network, 0, spec.trials)]
+
+
+def _fading_plans(spec: ExperimentSpec) -> List[TrackPlan]:
+    """The configured fading scenario next to its unfaded twin."""
+    if isinstance(spec.network.fading, NoFading):
+        raise ConfigError("fading-compare needs a fading model on the network")
+    unfaded = replace(spec.network, fading=NoFading())
+    return [
+        _cm_plan("faded", spec.network, 0, spec.trials),
+        _cm_plan("unfaded", unfaded, 1, spec.trials),
+    ]
+
+
+def _fading_finish(spec: ExperimentSpec, tracks: Dict[str, _Track]) -> None:
+    faded, unfaded = tracks["faded"].result, tracks["unfaded"].result
+    faded.metadata["fading_penalty"] = asv.fading_penalty(spec.network.fading)
+    faded.metadata["measured_ratio_by_point"] = [
+        f.normalized_variance / u.normalized_variance
+        for f, u in zip(faded.records, unfaded.records)
+    ]
+
+
+def _af_plans(spec: ExperimentSpec) -> List[TrackPlan]:
+    """Constant-modulus and amplify-and-forward side by side on one sweep."""
+    return [
+        _cm_plan("cm", spec.network, 0, spec.trials),
+        _af_plan(spec, "af", 1, spec.trials),
+    ]
+
+
+def _af_finish(spec: ExperimentSpec, tracks: Dict[str, _Track]) -> None:
+    """For a network-size sweep the AF track's metadata carries a linear
     regression of normalized variance on L: its slope should be
     statistically zero (the AF normalized variance is exactly constant in
-    L), while the CM track varies.
-    """
-    if spec.kind != "af-compare":
-        raise ConfigError(f"run_af_compare got kind {spec.kind!r}")
-    if spec.sweep.parameter not in ("theta", "n_sensors"):
-        raise ConfigError("af-compare sweeps theta or n_sensors")
-    nominal = _resolve_af_nominal_variance(spec)
-    cm = _sweep_track(spec, _cm_errors, _analytic_cm, 0, "cm", threads)
-    af = _sweep_track(spec, _make_af_errors(nominal), _analytic_af, 1, "af", threads)
-    af.metadata["af_nominal_variance"] = nominal
+    L), while the CM track varies."""
+    af = tracks["af"].result
+    af.metadata["af_nominal_variance"] = _resolve_af_nominal_variance(spec)
     af.metadata["af_power_calibrated_with_true_theta"] = True
-    if spec.sweep.parameter == "n_sensors" and len(spec.sweep.values) >= 3:
-        ls = [r.sweep_value for r in af.records]
-        nv = [r.normalized_variance for r in af.records]
-        fit = _sstats.linregress(ls, nv)
+    if spec.sweep.parameter == "n_sensors" and len(af.records) >= 3:
+        fit = _sstats.linregress(
+            [r.sweep_value for r in af.records],
+            [r.normalized_variance for r in af.records],
+        )
         af.metadata["flatness_regression"] = {
             "slope": float(fit.slope),
             "stderr": float(fit.stderr),
             "pvalue": float(fit.pvalue),
         }
-    return {"cm": cm, "af": af}
 
 
-def run_cauchy_robustness(
-    spec: ExperimentSpec, threads: int = 1
-) -> Dict[str, ExperimentResult]:
-    """Heavy-tail stress protocol over a network-size sweep.
+def _robustness_plans(spec: ExperimentSpec) -> List[TrackPlan]:
+    """Heavy-tail stress protocol over a network-size sweep: batch tracks of
+    ``spec.trials`` errors per L, plus two single-realization traces (one
+    error draw per L, as plotted in the robustness figure)."""
+    return [
+        _cm_plan("cm-batch", spec.network, 0, spec.trials),
+        _af_plan(spec, "af-batch", 1, spec.trials),
+        _cm_plan("cm-trace", spec.network, 2, 1),
+        _af_plan(spec, "af-trace", 3, 1),
+    ]
 
-    Two single-realization traces (one error draw per L, as plotted in the
-    robustness figure) plus batch tracks of ``spec.trials`` errors per L.
-    Batch metadata records the median |error| per point (medians are the
+
+def _robustness_finish(spec: ExperimentSpec, tracks: Dict[str, _Track]) -> None:
+    """Batch metadata records the median |error| per point (medians are the
     only trimmed statistic anywhere; raw variances stay in the records but
     do not converge under Cauchy noise for the AF track) and a two-sample
     KS comparison of the AF batches at the smallest and largest L, which
     should be indistinguishable: the AF error keeps the sensing-noise
-    distribution no matter how many sensors report.
-    """
-    if spec.kind != "cauchy-robustness":
-        raise ConfigError(f"run_cauchy_robustness got kind {spec.kind!r}")
-    if spec.sweep.parameter != "n_sensors":
-        raise ConfigError("cauchy-robustness sweeps n_sensors")
-    nominal = _resolve_af_nominal_variance(spec)
-    af_errors = _make_af_errors(nominal)
-    t0 = time.perf_counter()
-
-    def collect_track(error_fn, analytic_fn, phase, trials, label):
-        """Records over the sweep plus each point's finite errors."""
-        records, finite_errors, degenerates = [], [], []
-        for i, value in enumerate(spec.sweep.values):
-            config = _apply_sweep(spec.network, "n_sensors", value)
-            errs = _collect_point(config, error_fn, trials, spec.seed, phase, i, threads)
-            finite = errs[np.isfinite(errs)]
-            acc = TrialAccumulator()
-            acc.add_batch(finite)
-            records.append(_record(value, acc, analytic_fn(config), config.n_sensors))
-            finite_errors.append(finite)
-            degenerates.append(int(errs.size - finite.size))
-        meta = _base_metadata(spec, label)
-        meta["degenerate_trials"] = degenerates
-        return ExperimentResult(records=records, metadata=meta), finite_errors
-
-    tracks: Dict[str, ExperimentResult] = {}
-    for track, error_fn, phase in (("cm", _cm_errors, 0), ("af", af_errors, 1)):
-        analytic_fn = _analytic_cm if track == "cm" else _analytic_af
-        result, finite_errors = collect_track(
-            error_fn, analytic_fn, phase, spec.trials, f"{track}-batch"
-        )
-        meta = result.metadata
-        meta["median_abs_error_by_point"] = [
-            float(np.median(np.abs(e))) for e in finite_errors
+    distribution no matter how many sensors report.  Both use finite errors
+    only."""
+    for label in ("cm-batch", "af-batch"):
+        tracks[label].result.metadata["median_abs_error_by_point"] = [
+            float(np.median(np.abs(e))) for e in tracks[label].finite_errors
         ]
-        if track == "af":
-            meta["af_nominal_variance"] = nominal
-            meta["variance_note"] = (
-                "raw variance recorded but non-convergent when the sensing "
-                "noise has no finite moments"
-            )
-            ks = _sstats.ks_2samp(finite_errors[0], finite_errors[-1])
-            meta["ks_af_smallest_vs_largest"] = {
-                "statistic": float(ks.statistic),
-                "pvalue": float(ks.pvalue),
-            }
-        tracks[f"{track}-batch"] = result
-
-    for track, error_fn, phase in (("cm", _cm_errors, 2), ("af", af_errors, 3)):
-        analytic_fn = _analytic_cm if track == "cm" else _analytic_af
-        tracks[f"{track}-trace"], _ = collect_track(
-            error_fn, analytic_fn, phase, 1, f"{track}-trace"
-        )
-
-    wall = time.perf_counter() - t0
-    for result in tracks.values():
-        result.wall_time_s = wall
-    return tracks
+    errors = tracks["af-batch"].finite_errors
+    meta = tracks["af-batch"].result.metadata
+    meta["af_nominal_variance"] = _resolve_af_nominal_variance(spec)
+    meta["variance_note"] = (
+        "raw variance recorded but non-convergent when the sensing "
+        "noise has no finite moments"
+    )
+    ks = _sstats.ks_2samp(errors[0], errors[-1])
+    meta["ks_af_smallest_vs_largest"] = {
+        "statistic": float(ks.statistic),
+        "pvalue": float(ks.pvalue),
+    }
 
 
-def run_heterogeneous_consistency(
-    spec: ExperimentSpec, threads: int = 1
-) -> Dict[str, ExperimentResult]:
+def _hetero_plans(spec: ExperimentSpec) -> List[TrackPlan]:
     """MSE-vs-L tracks for bounded vs linearly growing per-sensor scales.
 
     The configured heterogeneous rule supplies the scale parameter; both the
     bounded rule (scales < sigma_max, estimator stays consistent) and the
     linear-growth rule (scales sigma*sqrt(i), averaging washes the signal
-    out and the estimator stalls) are run with it.  Per-point MSE lives in
-    each track's metadata; no single analytic variance exists because the
-    noise is not identically distributed.
+    out and the estimator stalls) are run with it.  No single analytic
+    variance exists because the noise is not identically distributed.
     """
-    if spec.kind != "heterogeneous-consistency":
-        raise ConfigError(f"run_heterogeneous_consistency got kind {spec.kind!r}")
-    if spec.sweep.parameter != "n_sensors":
-        raise ConfigError("heterogeneous-consistency sweeps n_sensors")
     noise = spec.network.noise
     if not isinstance(noise, HeterogeneousScaled):
         raise ConfigError("heterogeneous-consistency needs HeterogeneousScaled noise")
@@ -573,48 +510,65 @@ def run_heterogeneous_consistency(
         scale = rule.sigma
     else:
         raise ConfigError("scale rule must be BoundedScales or LinearGrowthScales")
-
-    tracks = {}
-    rules = {
-        "bounded": BoundedScales(sigma_max=scale),
-        "linear-growth": LinearGrowthScales(sigma=scale),
-    }
-    for phase, (label, track_rule) in enumerate(rules.items()):
-        network = replace(
-            spec.network, noise=HeterogeneousScaled(base=noise.base, scale_rule=track_rule)
+    rules = (
+        ("bounded", BoundedScales(sigma_max=scale)),
+        ("linear-growth", LinearGrowthScales(sigma=scale)),
+    )
+    return [
+        TrackPlan(
+            label,
+            replace(spec.network, noise=HeterogeneousScaled(noise.base, track_rule)),
+            _cm_errors,
+            _no_analytic,
+            phase,
+            spec.trials,
         )
-        t0 = time.perf_counter()
-        records, mses, degenerates = [], [], []
-        for i, value in enumerate(spec.sweep.values):
-            config = _apply_sweep(network, "n_sensors", value)
-            acc, degen = _accumulate_point(
-                config, _cm_errors, spec.trials, spec.seed, phase, i, threads
-            )
-            records.append(_record(value, acc, math.nan, config.n_sensors))
-            mses.append(acc.mean_square)
-            degenerates.append(degen)
-        meta = _base_metadata(spec, label)
-        meta["mse_by_point"] = mses
-        meta["degenerate_trials"] = degenerates
-        tracks[label] = ExperimentResult(
-            records=records, metadata=meta, wall_time_s=time.perf_counter() - t0
-        )
-    return tracks
+        for phase, (label, track_rule) in enumerate(rules)
+    ]
 
 
-_RUNNERS = {
-    "asv-vs-omega": lambda spec, threads: {"cm": run_experiment(spec, threads)},
-    "var-vs-L": lambda spec, threads: {"cm": run_experiment(spec, threads)},
-    "fading-compare": run_fading_compare,
-    "af-compare": run_af_compare,
-    "cauchy-robustness": run_cauchy_robustness,
-    "heterogeneous-consistency": run_heterogeneous_consistency,
+def _hetero_finish(spec: ExperimentSpec, tracks: Dict[str, _Track]) -> None:
+    for track in tracks.values():
+        track.result.metadata["mse_by_point"] = [acc.mean_square for acc in track.accs]
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """An experiment kind: the sweeps it allows, its plans, its post-processor."""
+
+    sweeps: Tuple[str, ...]
+    plans: Callable[[ExperimentSpec], List[TrackPlan]]
+    finish: Optional[Callable[[ExperimentSpec, Dict[str, _Track]], None]] = None
+    keep_errors: bool = False  # hand each point's finite errors to ``finish``
+
+
+_KINDS = {
+    "asv-vs-omega": _Kind(("omega",), _cm_plans),
+    "var-vs-L": _Kind(("n_sensors",), _cm_plans),
+    "fading-compare": _Kind(_SWEEP_PARAMETERS, _fading_plans, _fading_finish),
+    "af-compare": _Kind(("theta", "n_sensors"), _af_plans, _af_finish),
+    "cauchy-robustness": _Kind(
+        ("n_sensors",), _robustness_plans, _robustness_finish, keep_errors=True
+    ),
+    "heterogeneous-consistency": _Kind(("n_sensors",), _hetero_plans, _hetero_finish),
 }
 
 
 def run_kind(spec: ExperimentSpec, threads: int = 1) -> Dict[str, ExperimentResult]:
-    """Dispatch on spec.kind; always returns a dict of track results."""
-    return _RUNNERS[spec.kind](spec, threads)
+    """Run every track of the spec's kind; returns {label: result} in plan order."""
+    kind = _KINDS[spec.kind]
+    if spec.sweep.parameter not in kind.sweeps:
+        raise ConfigError(
+            f"kind {spec.kind!r} sweeps one of {kind.sweeps}, "
+            f"got {spec.sweep.parameter!r}"
+        )
+    tracks = {
+        plan.label: _run_track(spec, plan, threads, kind.keep_errors)
+        for plan in kind.plans(spec)
+    }
+    if kind.finish is not None:
+        kind.finish(spec, tracks)
+    return {label: track.result for label, track in tracks.items()}
 
 
 def _is_compared(rec: SweepRecord) -> bool:
@@ -673,189 +627,193 @@ def _take(d: Dict, what: str, required: Sequence[str], optional: Sequence[str] =
     return d
 
 
+def _number(value, what: str) -> float:
+    """A finite real from a config; bools, strings and NaN/inf are rejected."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an int beyond float64
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ConfigError(f"{what} must be a finite number, got {value!r}")
+
+
+def _integer(value, what: str) -> int:
+    """An integer from a config; integral floats such as 500.0 are accepted."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if not _number(value, what).is_integer():
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _text(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _number_list(value, what: str) -> Tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a list of numbers, got {value!r}")
+    return tuple(_number(v, what) for v in value)
+
+
+@dataclass(frozen=True)
+class _Value:
+    """A leaf field: ``read`` checks a config value, ``write`` renders it."""
+
+    read: Callable
+    write: Callable = lambda x: x
+
+
+_NUMBER = _Value(_number)
+_INTEGER = _Value(_integer)
+_TEXT = _Value(_text)
+_NUMBERS = _Value(_number_list, list)
+
+#: Config keys whose dataclass field has another name.
+_FIELD_NAMES = {"variance": "variance_", "rule": "scale_rule"}
+
+
+class _Record:
+    """A config mapping with fixed keys <-> one dataclass; field values are
+    read and written by each key's codec (a _Value, _Record or _Tagged).
+    ``defaults`` holds the optional keys and what a missing one reads as."""
+
+    def __init__(self, cls, defaults=None, **codecs):
+        self.cls = cls
+        self.codecs = codecs
+        self.defaults = defaults or {}
+        self.required = [k for k in codecs if k not in self.defaults]
+
+    def read(self, d, what: str):
+        _take(d, what, self.required, optional=list(self.defaults))
+        kwargs = {
+            _FIELD_NAMES.get(key, key): (
+                codec.read(d[key], key) if key in d else self.defaults[key]
+            )
+            for key, codec in self.codecs.items()
+        }
+        try:
+            return self.cls(**kwargs)
+        except DomainError as exc:
+            # bad parameter values arriving through a config are config errors
+            raise ConfigError(str(exc)) from exc
+
+    def write(self, obj) -> Dict:
+        out = {}
+        for key, codec in self.codecs.items():
+            value = getattr(obj, _FIELD_NAMES.get(key, key))
+            if value is not None:  # an unset optional field is left out
+                out[key] = codec.write(value)
+        return out
+
+
+class _Tagged:
+    """A model family: the tag key (``kind``, or ``mode`` for power) picks
+    the record of one dataclass."""
+
+    def __init__(self, what: str, tag_key: str, records: Dict[str, _Record]):
+        self.what = what
+        self.tag_key = tag_key
+        self.records = records
+
+    def read(self, d, what: str):
+        if not isinstance(d, dict):
+            raise ConfigError(f"{what} must be a mapping, got {type(d).__name__}")
+        tag = d.get(self.tag_key)
+        if not isinstance(tag, str) or tag not in self.records:
+            raise ConfigError(f"unknown {self.what} {self.tag_key} {tag!r}")
+        fields = {k: v for k, v in d.items() if k != self.tag_key}
+        return self.records[tag].read(fields, f"{tag} {self.what}")
+
+    def write(self, obj) -> Dict:
+        for tag, record in self.records.items():
+            if type(obj) is record.cls:
+                return {self.tag_key: tag, **record.write(obj)}
+        raise ConfigError(f"cannot serialize {self.what} {obj!r}")
+
+
+_SCALE_RULE = _Tagged(
+    "scale rule",
+    "kind",
+    {
+        "bounded": _Record(BoundedScales, sigma_max=_NUMBER),
+        "linear-growth": _Record(LinearGrowthScales, sigma=_NUMBER),
+    },
+)
+_NOISE = _Tagged(
+    "noise",
+    "kind",
+    {
+        "gaussian": _Record(Gaussian, variance=_NUMBER),
+        "laplace": _Record(Laplace, variance=_NUMBER),
+        "cauchy": _Record(Cauchy, scale=_NUMBER),
+        "uniform": _Record(Uniform, variance=_NUMBER),
+        "class-a": _Record(
+            ClassA, overlap=_NUMBER, background_ratio=_NUMBER, variance=_NUMBER
+        ),
+    },
+)
+_NOISE.records["heterogeneous"] = _Record(
+    HeterogeneousScaled, base=_NOISE, rule=_SCALE_RULE
+)
+_FADING = _Tagged(
+    "fading",
+    "kind",
+    {
+        "none": _Record(NoFading),
+        "rayleigh": _Record(RayleighFading),
+        "ricean": _Record(RiceanFading, k_factor=_NUMBER),
+    },
+)
+_POWER = _Tagged(
+    "power",
+    "mode",
+    {
+        "per-sensor": _Record(PerSensorPower, rho=_NUMBER),
+        "total": _Record(TotalPower, p_t=_NUMBER),
+    },
+)
+_SPEC = _Record(
+    ExperimentSpec,
+    defaults={"af_nominal_variance": None},
+    kind=_TEXT,
+    network=_Record(
+        NetworkConfig,
+        defaults={"fading": NoFading()},
+        n_sensors=_INTEGER,
+        theta=_NUMBER,
+        theta_range=_NUMBER,
+        omega=_NUMBER,
+        power=_POWER,
+        channel_noise_variance=_NUMBER,
+        noise=_NOISE,
+        fading=_FADING,
+    ),
+    sweep=_Record(Sweep, parameter=_TEXT, values=_NUMBERS),
+    trials=_INTEGER,
+    seed=_INTEGER,
+    af_nominal_variance=_NUMBER,
+)
+
+
 def noise_from_dict(d: Dict) -> NoiseModel:
-    try:
-        return _noise_from_dict(d)
-    except DomainError as exc:
-        # bad parameter values arriving through a config are config errors
-        raise ConfigError(str(exc)) from exc
+    return _NOISE.read(d, "noise")
 
 
-def _noise_from_dict(d: Dict) -> NoiseModel:
-    kind = d.get("kind")
-    if kind == "gaussian":
-        _take(d, "gaussian noise", ["kind", "variance"])
-        return Gaussian(variance_=float(d["variance"]))
-    if kind == "laplace":
-        _take(d, "laplace noise", ["kind", "variance"])
-        return Laplace(variance_=float(d["variance"]))
-    if kind == "cauchy":
-        _take(d, "cauchy noise", ["kind", "scale"])
-        return Cauchy(scale=float(d["scale"]))
-    if kind == "uniform":
-        _take(d, "uniform noise", ["kind", "variance"])
-        return Uniform(variance_=float(d["variance"]))
-    if kind == "class-a":
-        _take(d, "class-a noise", ["kind", "overlap", "background_ratio", "variance"])
-        return ClassA(
-            overlap=float(d["overlap"]),
-            background_ratio=float(d["background_ratio"]),
-            variance_=float(d["variance"]),
-        )
-    if kind == "heterogeneous":
-        _take(d, "heterogeneous noise", ["kind", "base", "rule"])
-        rule = d["rule"]
-        rkind = rule.get("kind") if isinstance(rule, dict) else None
-        if rkind == "bounded":
-            _take(rule, "bounded rule", ["kind", "sigma_max"])
-            rule_obj = BoundedScales(sigma_max=float(rule["sigma_max"]))
-        elif rkind == "linear-growth":
-            _take(rule, "linear-growth rule", ["kind", "sigma"])
-            rule_obj = LinearGrowthScales(sigma=float(rule["sigma"]))
-        else:
-            raise ConfigError(f"unknown scale rule kind {rkind!r}")
-        return HeterogeneousScaled(base=_noise_from_dict(d["base"]), scale_rule=rule_obj)
-    raise ConfigError(f"unknown noise kind {kind!r}")
-
-
-def noise_to_dict(model: NoiseModel) -> Dict:
-    if isinstance(model, Gaussian):
-        return {"kind": "gaussian", "variance": model.variance_}
-    if isinstance(model, Laplace):
-        return {"kind": "laplace", "variance": model.variance_}
-    if isinstance(model, Cauchy):
-        return {"kind": "cauchy", "scale": model.scale}
-    if isinstance(model, Uniform):
-        return {"kind": "uniform", "variance": model.variance_}
-    if isinstance(model, ClassA):
-        return {
-            "kind": "class-a",
-            "overlap": model.overlap,
-            "background_ratio": model.background_ratio,
-            "variance": model.variance_,
-        }
-    if isinstance(model, HeterogeneousScaled):
-        rule = model.scale_rule
-        if isinstance(rule, BoundedScales):
-            rule_d = {"kind": "bounded", "sigma_max": rule.sigma_max}
-        elif isinstance(rule, LinearGrowthScales):
-            rule_d = {"kind": "linear-growth", "sigma": rule.sigma}
-        else:
-            raise ConfigError(f"cannot serialize scale rule {rule!r}")
-        return {
-            "kind": "heterogeneous",
-            "base": noise_to_dict(model.base),
-            "rule": rule_d,
-        }
-    raise ConfigError(f"cannot serialize noise model {model!r}")
-
-
-def fading_from_dict(d: Dict) -> FadingModel:
-    kind = d.get("kind")
-    if kind == "none":
-        _take(d, "fading", ["kind"])
-        return NoFading()
-    if kind == "rayleigh":
-        _take(d, "fading", ["kind"])
-        return RayleighFading()
-    if kind == "ricean":
-        _take(d, "fading", ["kind", "k_factor"])
-        return RiceanFading(k_factor=float(d["k_factor"]))
-    raise ConfigError(f"unknown fading kind {kind!r}")
-
-
-def fading_to_dict(fading: FadingModel) -> Dict:
-    if isinstance(fading, NoFading):
-        return {"kind": "none"}
-    if isinstance(fading, RayleighFading):
-        return {"kind": "rayleigh"}
-    if isinstance(fading, RiceanFading):
-        return {"kind": "ricean", "k_factor": fading.k_factor}
-    raise ConfigError(f"cannot serialize fading model {fading!r}")
-
-
-def power_from_dict(d: Dict) -> PowerMode:
-    mode = d.get("mode")
-    if mode == "per-sensor":
-        _take(d, "power", ["mode", "rho"])
-        return PerSensorPower(rho=float(d["rho"]))
-    if mode == "total":
-        _take(d, "power", ["mode", "p_t"])
-        return TotalPower(p_t=float(d["p_t"]))
-    raise ConfigError(f"unknown power mode {mode!r}")
-
-
-def power_to_dict(power: PowerMode) -> Dict:
-    if isinstance(power, PerSensorPower):
-        return {"mode": "per-sensor", "rho": power.rho}
-    if isinstance(power, TotalPower):
-        return {"mode": "total", "p_t": power.p_t}
-    raise ConfigError(f"cannot serialize power mode {power!r}")
-
-
-def network_from_dict(d: Dict) -> NetworkConfig:
-    _take(
-        d,
-        "network",
-        ["n_sensors", "theta", "theta_range", "omega", "power",
-         "channel_noise_variance", "noise"],
-        optional=["fading"],
-    )
-    return NetworkConfig(
-        n_sensors=int(d["n_sensors"]),
-        theta=float(d["theta"]),
-        theta_range=float(d["theta_range"]),
-        omega=float(d["omega"]),
-        power=power_from_dict(d["power"]),
-        channel_noise_variance=float(d["channel_noise_variance"]),
-        noise=noise_from_dict(d["noise"]),
-        fading=fading_from_dict(d.get("fading", {"kind": "none"})),
-    )
-
-
-def network_to_dict(network: NetworkConfig) -> Dict:
-    return {
-        "n_sensors": network.n_sensors,
-        "theta": network.theta,
-        "theta_range": network.theta_range,
-        "omega": network.omega,
-        "power": power_to_dict(network.power),
-        "channel_noise_variance": network.channel_noise_variance,
-        "noise": noise_to_dict(network.noise),
-        "fading": fading_to_dict(network.fading),
-    }
+def fading_from_dict(d: Dict):
+    return _FADING.read(d, "fading")
 
 
 def spec_from_dict(d: Dict) -> ExperimentSpec:
-    _take(
-        d,
-        "experiment spec",
-        ["kind", "network", "sweep", "trials", "seed"],
-        optional=["af_nominal_variance"],
-    )
-    sweep_d = _take(d["sweep"], "sweep", ["parameter", "values"])
-    nominal = d.get("af_nominal_variance")
-    return ExperimentSpec(
-        kind=d["kind"],
-        network=network_from_dict(d["network"]),
-        sweep=Sweep(parameter=sweep_d["parameter"], values=tuple(sweep_d["values"])),
-        trials=int(d["trials"]),
-        seed=int(d["seed"]),
-        af_nominal_variance=None if nominal is None else float(nominal),
-    )
+    return _SPEC.read(d, "experiment spec")
 
 
 def spec_to_dict(spec: ExperimentSpec) -> Dict:
-    d = {
-        "kind": spec.kind,
-        "network": network_to_dict(spec.network),
-        "sweep": {"parameter": spec.sweep.parameter, "values": list(spec.sweep.values)},
-        "trials": spec.trials,
-        "seed": spec.seed,
-    }
-    if spec.af_nominal_variance is not None:
-        d["af_nominal_variance"] = spec.af_nominal_variance
-    return d
+    return _SPEC.write(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -870,20 +828,11 @@ def _fmt(x: float) -> str:
 
 
 def result_to_csv(result: ExperimentResult) -> str:
-    lines = [CSV_HEADER]
-    for r in result.records:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.sweep_value),
-                    str(r.n_trials),
-                    _fmt(r.normalized_variance),
-                    _fmt(r.std_error),
-                    _fmt(r.analytic_asv),
-                    _fmt(r.bias),
-                ]
-            )
-        )
+    lines = [CSV_HEADER] + [
+        f"{_fmt(r.sweep_value)},{r.n_trials},{_fmt(r.normalized_variance)},"
+        f"{_fmt(r.std_error)},{_fmt(r.analytic_asv)},{_fmt(r.bias)}"
+        for r in result.records
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -917,17 +866,24 @@ def result_to_json(result: ExperimentResult) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def write_result(result: ExperimentResult, path, fmt: str = "csv") -> Path:
-    path = Path(path)
+def render(result: ExperimentResult, fmt: str) -> str:
     if fmt == "csv":
-        text = result_to_csv(result)
-    elif fmt == "json":
-        text = result_to_json(result)
-    else:
-        raise ConfigError(f"unknown output format {fmt!r}")
+        return result_to_csv(result)
+    if fmt == "json":
+        return result_to_json(result)
+    raise ConfigError(f"unknown output format {fmt!r}")
+
+
+def write_text(path, text: str) -> Path:
+    """Write ``text`` to ``path``, creating parent directories."""
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
     return path
+
+
+def write_result(result: ExperimentResult, path, fmt: str = "csv") -> Path:
+    return write_text(path, render(result, fmt))
 
 
 def write_tracks(
@@ -935,11 +891,9 @@ def write_tracks(
 ) -> List[Path]:
     """Write one file per track, suffixing the track label before the extension."""
     base = Path(base_path)
-    written = []
     if len(tracks) == 1:
-        (label, result), = tracks.items()
-        return [write_result(result, base, fmt)]
-    for label, result in tracks.items():
-        path = base.with_name(f"{base.stem}.{label}{base.suffix or '.' + fmt}")
-        written.append(write_result(result, path, fmt))
-    return written
+        return [write_result(next(iter(tracks.values())), base, fmt)]
+    return [
+        write_result(result, base.with_name(f"{base.stem}.{label}{base.suffix or '.' + fmt}"), fmt)
+        for label, result in tracks.items()
+    ]

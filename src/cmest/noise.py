@@ -8,7 +8,7 @@ share stream state.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -120,7 +120,7 @@ class Gaussian(NoiseModel):
     variance_: float = 1.0
 
     def __post_init__(self):
-        if self.variance_ <= 0.0:
+        if not self.variance_ > 0.0:
             raise DomainError(f"Gaussian variance must be > 0, got {self.variance_}")
 
     def cf(self, omega):
@@ -148,7 +148,7 @@ class Laplace(NoiseModel):
     variance_: float = 1.0
 
     def __post_init__(self):
-        if self.variance_ <= 0.0:
+        if not self.variance_ > 0.0:
             raise DomainError(f"Laplace variance must be > 0, got {self.variance_}")
 
     @property
@@ -175,7 +175,7 @@ class Cauchy(NoiseModel):
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.scale <= 0.0:
+        if not self.scale > 0.0:
             raise DomainError(f"Cauchy scale must be > 0, got {self.scale}")
 
     def cf(self, omega):
@@ -201,7 +201,7 @@ class Uniform(NoiseModel):
     variance_: float = 1.0
 
     def __post_init__(self):
-        if self.variance_ <= 0.0:
+        if not self.variance_ > 0.0:
             raise DomainError(f"Uniform variance must be > 0, got {self.variance_}")
 
     @property
@@ -248,13 +248,13 @@ class ClassA(NoiseModel):
     variance_: float = 1.0
 
     def __post_init__(self):
-        if self.overlap <= 0.0:
+        if not self.overlap > 0.0:
             raise DomainError(f"Class-A overlap must be > 0, got {self.overlap}")
-        if self.background_ratio < 0.0:
+        if not self.background_ratio >= 0.0:
             raise DomainError(
                 f"Class-A background ratio must be >= 0, got {self.background_ratio}"
             )
-        if self.variance_ <= 0.0:
+        if not self.variance_ > 0.0:
             raise DomainError(f"Class-A variance must be > 0, got {self.variance_}")
 
     def cf(self, omega):
@@ -325,5 +325,3 @@ class HeterogeneousScaled(NoiseModel):
         draw *= scales
         return draw
 
-
-AnyNoise = Union[Gaussian, Laplace, Cauchy, Uniform, ClassA, HeterogeneousScaled]

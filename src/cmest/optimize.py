@@ -14,12 +14,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import asv
-from .errors import AllGridInvalidError, DomainError, RootNotFoundError
-from .noise import NoiseModel
+from .errors import AllGridInvalidError, ConfigError, DomainError, RootNotFoundError
+from .noise import Cauchy, Gaussian, Laplace, NoiseModel, Uniform
 from .specfun import lambert_w0
 
 __all__ = [
     "OmegaStar",
+    "omega_star",
     "omega_star_gaussian",
     "omega_star_cauchy",
     "omega_star_laplace",
@@ -50,6 +51,13 @@ class OmegaStar:
     clamped: bool = False
     at_origin: bool = False
     beta: Optional[float] = None
+
+
+def _check_args(name: str, value: float, snr_inv: float) -> None:
+    if not value > 0.0:
+        raise DomainError(f"{name} must be > 0, got {value}")
+    if not snr_inv >= 0.0:
+        raise DomainError(f"snr_inv must be >= 0, got {snr_inv}")
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
@@ -132,10 +140,7 @@ def omega_star_gaussian(
     variance itself) sits at the origin and is not attained, so the smallest
     default curve grid point is returned with ``at_origin`` set.
     """
-    if variance <= 0.0:
-        raise DomainError(f"variance must be > 0, got {variance}")
-    if snr_inv < 0.0:
-        raise DomainError(f"snr_inv must be >= 0, got {snr_inv}")
+    _check_args("variance", variance, snr_inv)
 
     def value(w: float) -> float:
         return asv.asv_gaussian(variance, snr_inv, w)
@@ -174,10 +179,7 @@ def omega_star_cauchy(scale: float, snr_inv: float, theta_range: float) -> Omega
     always defined.  The other real branch would give 2 + W <= 0, i.e. a
     non-positive phase, which is infeasible.
     """
-    if scale <= 0.0:
-        raise DomainError(f"scale must be > 0, got {scale}")
-    if snr_inv < 0.0:
-        raise DomainError(f"snr_inv must be >= 0, got {snr_inv}")
+    _check_args("scale", scale, snr_inv)
     arg = -2.0 * math.exp(-2.0) / (snr_inv + 1.0)
     if arg < -1.0 / math.e:  # cannot happen for snr_inv >= 0; guard regardless
         raise DomainError(f"Lambert argument {arg} below branch point")
@@ -201,10 +203,7 @@ def omega_star_laplace(
     Then omega* = min(2 pi / theta_R, sqrt(beta*) / b) with b^2 = s2 / 2.
     At snr_inv = 0, c = 2 and beta* = 1/2 exactly.
     """
-    if variance <= 0.0:
-        raise DomainError(f"variance must be > 0, got {variance}")
-    if snr_inv < 0.0:
-        raise DomainError(f"snr_inv must be >= 0, got {snr_inv}")
+    _check_args("variance", variance, snr_inv)
     s = snr_inv
     c = (
         125.0 * s ** 3
@@ -235,10 +234,7 @@ def omega_star_uniform(
     search to the first lobe (0, pi); the variance dominates its translates
     by k pi / a.  No closed form exists for the root.
     """
-    if variance <= 0.0:
-        raise DomainError(f"variance must be > 0, got {variance}")
-    if snr_inv < 0.0:
-        raise DomainError(f"snr_inv must be >= 0, got {snr_inv}")
+    _check_args("variance", variance, snr_inv)
     s1 = snr_inv + 1.0
 
     def u(beta: float) -> float:
@@ -338,3 +334,33 @@ def omega_star_numeric(
         method="grid-global",
         clamped=clamped,
     )
+
+
+_METHODS = ("auto", "closed", "numeric")
+
+
+def omega_star(
+    noise: NoiseModel, snr_inv: float, theta_range: float, method: str = "auto"
+) -> OmegaStar:
+    """Optimal transmit phase for ``noise``.
+
+    ``method`` "auto" uses the closed-form solver where the noise type has
+    one and the global scan otherwise; "closed" insists on the closed form
+    (ConfigError without one, e.g. for Class-A); "numeric" always scans.
+    Solvers are looked up as module globals at each call, so a rebinding of
+    one (a tracing wrapper, say) is seen here too.
+    """
+    if method not in _METHODS:
+        raise ConfigError(f"unknown optimizer method {method!r}")
+    if method != "numeric":
+        if type(noise) is Gaussian:
+            return omega_star_gaussian(noise.variance_, snr_inv, theta_range)
+        if type(noise) is Laplace:
+            return omega_star_laplace(noise.variance_, snr_inv, theta_range)
+        if type(noise) is Uniform:
+            return omega_star_uniform(noise.variance_, snr_inv, theta_range)
+        if type(noise) is Cauchy:
+            return omega_star_cauchy(noise.scale, snr_inv, theta_range)
+        if method == "closed":
+            raise ConfigError(f"no closed-form solver for {type(noise).__name__}")
+    return omega_star_numeric(noise, snr_inv, theta_range)

@@ -48,6 +48,7 @@ _VARIANCE_TRIALS = 200_000  # variance experiments
 _TRACE_TRIALS = 1_000  # trace/robustness batches
 
 _L_SWEEP = (10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0)
+_SIZE_SWEEP = Sweep("n_sensors", (50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0))
 
 _DISTS = {
     "gaussian": Gaussian(variance_=1.0),
@@ -66,87 +67,57 @@ _FIG2_GRIDS = {
 }
 
 
-def _omega_star(name: str, snr_inv: float, theta_range: float) -> float:
-    if name == "gaussian":
-        return optimize.omega_star_gaussian(1.0, snr_inv, theta_range).omega
-    if name == "laplace":
-        return optimize.omega_star_laplace(1.0, snr_inv, theta_range).omega
-    if name == "uniform":
-        return optimize.omega_star_uniform(1.0, snr_inv, theta_range).omega
-    if name == "cauchy":
-        return optimize.omega_star_cauchy(1.0, snr_inv, theta_range).omega
-    raise ConfigError(f"no optimizer wired for {name!r}")
+def _spec(
+    kind: str,
+    sweep: Sweep,
+    trials: int = _VARIANCE_TRIALS,
+    af_nominal_variance=None,
+    **network,
+) -> ExperimentSpec:
+    """A preset spec at the default seed.  Unless given, the network has
+    theta = 2, theta range 12, total power 10 and channel noise variance 1."""
+    defaults = dict(
+        theta=2.0,
+        theta_range=12.0,
+        power=TotalPower(p_t=10.0),
+        channel_noise_variance=1.0,
+    )
+    return ExperimentSpec(
+        kind=kind,
+        network=NetworkConfig(**{**defaults, **network}),
+        sweep=sweep,
+        trials=trials,
+        seed=_DEFAULT_SEED,
+        af_nominal_variance=af_nominal_variance,
+    )
 
 
 def _fig1() -> List[Track]:
     """Variance vs phase, per-sensor power 1, L = 500."""
-    tracks = []
-    for name, noise in _DISTS.items():
-        net = NetworkConfig(
-            n_sensors=500,
-            theta=2.0,
-            theta_range=4.0,
-            omega=0.5,
-            power=PerSensorPower(rho=1.0),
-            channel_noise_variance=1.0,
-            noise=noise,
-        )
-        spec = ExperimentSpec(
-            kind="asv-vs-omega",
-            network=net,
-            sweep=Sweep("omega", tuple(np.linspace(0.05, 1.5, 24))),
-            trials=_VARIANCE_TRIALS,
-            seed=_DEFAULT_SEED,
-        )
-        tracks.append((name, spec))
-    return tracks
+    sweep = Sweep("omega", tuple(np.linspace(0.05, 1.5, 24)))
+    return [
+        (name, _spec("asv-vs-omega", sweep, n_sensors=500, theta_range=4.0, omega=0.5,
+                     power=PerSensorPower(rho=1.0), noise=noise))
+        for name, noise in _DISTS.items()
+    ]
 
 
 def _fig2() -> List[Track]:
     """Variance vs phase, total power 10, L = 500."""
-    tracks = []
-    for name, noise in _DISTS.items():
-        net = NetworkConfig(
-            n_sensors=500,
-            theta=2.0,
-            theta_range=12.0,
-            omega=0.3,
-            power=TotalPower(p_t=10.0),
-            channel_noise_variance=1.0,
-            noise=noise,
-        )
-        spec = ExperimentSpec(
-            kind="asv-vs-omega",
-            network=net,
-            sweep=Sweep("omega", tuple(_FIG2_GRIDS[name])),
-            trials=_VARIANCE_TRIALS,
-            seed=_DEFAULT_SEED,
-        )
-        tracks.append((name, spec))
-    return tracks
+    return [
+        (name, _spec("asv-vs-omega", Sweep("omega", tuple(_FIG2_GRIDS[name])),
+                     n_sensors=500, omega=0.3, noise=noise))
+        for name, noise in _DISTS.items()
+    ]
 
 
 def _gaussian_sizes(power, theta_range: float, omegas, sizes) -> List[Track]:
-    tracks = []
-    for L in sizes:
-        net = NetworkConfig(
-            n_sensors=L,
-            theta=2.0,
-            theta_range=theta_range,
-            omega=0.5,
-            power=power,
-            channel_noise_variance=1.0,
-            noise=Gaussian(variance_=1.0),
-        )
-        spec = ExperimentSpec(
-            kind="asv-vs-omega",
-            network=net,
-            sweep=Sweep("omega", tuple(omegas)),
-            trials=_VARIANCE_TRIALS,
-            seed=_DEFAULT_SEED,
-        )
-        tracks.append((f"L{L}", spec))
-    return tracks
+    sweep = Sweep("omega", tuple(omegas))
+    return [
+        (f"L{L}", _spec("asv-vs-omega", sweep, n_sensors=L, theta_range=theta_range,
+                        omega=0.5, power=power, noise=Gaussian(variance_=1.0)))
+        for L in sizes
+    ]
 
 
 def _fig3() -> List[Track]:
@@ -166,50 +137,23 @@ def _fig4() -> List[Track]:
 def _fig5() -> List[Track]:
     """Class-A variance vs phase; overlap/background combinations shipped
     because the caption leaves them open."""
-    tracks = []
-    for overlap in (0.1, 1.0):
-        for background in (0.0, 0.1):
-            noise = ClassA(overlap=overlap, background_ratio=background, variance_=3.0)
-            net = NetworkConfig(
-                n_sensors=500,
-                theta=1.0,
-                theta_range=2.0,
-                omega=1.0,
-                power=TotalPower(p_t=10.0),
-                channel_noise_variance=1.0,
-                noise=noise,
-            )
-            spec = ExperimentSpec(
-                kind="asv-vs-omega",
-                network=net,
-                sweep=Sweep("omega", tuple(np.geomspace(0.02, math.pi, 32))),
-                trials=_VARIANCE_TRIALS,
-                seed=_DEFAULT_SEED,
-            )
-            tracks.append((f"A{overlap:g}-T{background:g}", spec))
-    return tracks
+    sweep = Sweep("omega", tuple(np.geomspace(0.02, math.pi, 32)))
+    return [
+        (f"A{overlap:g}-T{background:g}",
+         _spec("asv-vs-omega", sweep, n_sensors=500, theta=1.0, theta_range=2.0,
+               omega=1.0, noise=ClassA(overlap, background, variance_=3.0)))
+        for overlap in (0.1, 1.0)
+        for background in (0.0, 0.1)
+    ]
 
 
 def _var_vs_l(power, theta_range: float, snr_inv_for_omega: float) -> List[Track]:
+    sweep = Sweep("n_sensors", _L_SWEEP)
     tracks = []
     for name, noise in _DISTS.items():
-        omega = _omega_star(name, snr_inv_for_omega, theta_range)
-        net = NetworkConfig(
-            n_sensors=500,
-            theta=2.0,
-            theta_range=theta_range,
-            omega=omega,
-            power=power,
-            channel_noise_variance=1.0,
-            noise=noise,
-        )
-        spec = ExperimentSpec(
-            kind="var-vs-L",
-            network=net,
-            sweep=Sweep("n_sensors", _L_SWEEP),
-            trials=_VARIANCE_TRIALS,
-            seed=_DEFAULT_SEED,
-        )
+        omega = optimize.omega_star(noise, snr_inv_for_omega, theta_range).omega
+        spec = _spec("var-vs-L", sweep, n_sensors=500, theta_range=theta_range,
+                     omega=omega, power=power, noise=noise)
         tracks.append((name, spec))
     return tracks
 
@@ -231,79 +175,38 @@ def _fig7() -> List[Track]:
 
 def _fig8() -> List[Track]:
     """Fading penalty vs network size: Rayleigh and a K = 5 Ricean channel."""
-    tracks = []
-    omega = _omega_star("gaussian", 0.1, 12.0)
-    for label, fading in (
-        ("rayleigh", RayleighFading()),
-        ("ricean-k5", RiceanFading(k_factor=5.0)),
-    ):
-        net = NetworkConfig(
-            n_sensors=1000,
-            theta=2.0,
-            theta_range=12.0,
-            omega=omega,
-            power=TotalPower(p_t=10.0),
-            channel_noise_variance=1.0,
-            noise=Gaussian(variance_=1.0),
-            fading=fading,
+    omega = optimize.omega_star(Gaussian(variance_=1.0), 0.1, 12.0).omega
+    return [
+        (label, _spec("fading-compare", _SIZE_SWEEP, n_sensors=1000, omega=omega,
+                      noise=Gaussian(variance_=1.0), fading=fading))
+        for label, fading in (
+            ("rayleigh", RayleighFading()),
+            ("ricean-k5", RiceanFading(k_factor=5.0)),
         )
-        spec = ExperimentSpec(
-            kind="fading-compare",
-            network=net,
-            sweep=Sweep("n_sensors", (50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0)),
-            trials=_VARIANCE_TRIALS,
-            seed=_DEFAULT_SEED,
-        )
-        tracks.append((label, spec))
-    return tracks
+    ]
 
 
 def _fig9() -> List[Track]:
     """Constant-modulus vs amplify-and-forward: theta sweep and size sweep."""
-    base = NetworkConfig(
-        n_sensors=500,
-        theta=2.0,
-        theta_range=12.0,
-        omega=_omega_star("gaussian", 0.1, 12.0),
-        power=TotalPower(p_t=10.0),
-        channel_noise_variance=1.0,
-        noise=Gaussian(variance_=1.0),
+    omega = optimize.omega_star(Gaussian(variance_=1.0), 0.1, 12.0).omega
+    sweeps = (
+        ("theta-sweep", Sweep("theta", tuple(np.linspace(0.5, 11.5, 12)))),
+        ("size-sweep", _SIZE_SWEEP),
     )
-    theta_spec = ExperimentSpec(
-        kind="af-compare",
-        network=base,
-        sweep=Sweep("theta", tuple(np.linspace(0.5, 11.5, 12))),
-        trials=_VARIANCE_TRIALS,
-        seed=_DEFAULT_SEED,
-    )
-    size_spec = ExperimentSpec(
-        kind="af-compare",
-        network=base,
-        sweep=Sweep("n_sensors", (50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0)),
-        trials=_VARIANCE_TRIALS,
-        seed=_DEFAULT_SEED,
-    )
-    return [("theta-sweep", theta_spec), ("size-sweep", size_spec)]
+    return [
+        (label, _spec("af-compare", sweep, n_sensors=500, omega=omega,
+                      noise=Gaussian(variance_=1.0)))
+        for label, sweep in sweeps
+    ]
 
 
 def _fig10() -> List[Track]:
     """Cauchy robustness: traces plus median/KS batches; nominal AF variance 1."""
-    net = NetworkConfig(
-        n_sensors=100,
-        theta=2.0,
-        theta_range=12.0,
-        omega=optimize.omega_star_cauchy(1.0, 0.1, 12.0).omega,
-        power=TotalPower(p_t=10.0),
-        channel_noise_variance=1.0,
-        noise=Cauchy(scale=1.0),
-    )
-    spec = ExperimentSpec(
-        kind="cauchy-robustness",
-        network=net,
-        sweep=Sweep("n_sensors", (100.0, 316.0, 1000.0, 3162.0, 10000.0)),
-        trials=_TRACE_TRIALS,
-        seed=_DEFAULT_SEED,
-        af_nominal_variance=1.0,
+    sweep = Sweep("n_sensors", (100.0, 316.0, 1000.0, 3162.0, 10000.0))
+    spec = _spec(
+        "cauchy-robustness", sweep, _TRACE_TRIALS, n_sensors=100,
+        omega=optimize.omega_star(Cauchy(scale=1.0), 0.1, 12.0).omega,
+        noise=Cauchy(scale=1.0), af_nominal_variance=1.0,
     )
     return [("cauchy", spec)]
 
@@ -314,21 +217,10 @@ def _hetero() -> List[Track]:
     noise = HeterogeneousScaled(
         base=Gaussian(variance_=1.0), scale_rule=BoundedScales(sigma_max=1.0)
     )
-    net = NetworkConfig(
-        n_sensors=100,
-        theta=2.0,
-        theta_range=12.0,
-        omega=0.5,
-        power=PerSensorPower(rho=1.0),
-        channel_noise_variance=1.0,
+    spec = _spec(
+        "heterogeneous-consistency", Sweep("n_sensors", (100.0, 1000.0, 10000.0)),
+        _TRACE_TRIALS, n_sensors=100, omega=0.5, power=PerSensorPower(rho=1.0),
         noise=noise,
-    )
-    spec = ExperimentSpec(
-        kind="heterogeneous-consistency",
-        network=net,
-        sweep=Sweep("n_sensors", (100.0, 1000.0, 10000.0)),
-        trials=_TRACE_TRIALS,
-        seed=_DEFAULT_SEED,
     )
     return [("gaussian-base", spec)]
 

@@ -23,11 +23,7 @@ from cmest.channel import (
 from cmest.harness import (
     ExperimentSpec,
     Sweep,
-    run_af_compare,
-    run_cauchy_robustness,
-    run_experiment,
-    run_fading_compare,
-    run_heterogeneous_consistency,
+    run_kind,
 )
 from cmest.noise import Cauchy, Gaussian, HeterogeneousScaled, Laplace, Uniform
 from cmest.noise import BoundedScales
@@ -79,7 +75,7 @@ def test_criterion_01_total_power_analytic_vs_simulation():
         spec = _nv_spec(
             noise, omegas, power=TotalPower(10.0), theta_range=12.0, trials=200_000
         )
-        result = run_experiment(spec)
+        result = run_kind(spec)["cm"]
         for rec in result.records:
             assert rec.analytic_asv <= 10.0, (name, rec.sweep_value, rec.analytic_asv)
             rel = abs(rec.normalized_variance / rec.analytic_asv - 1.0)
@@ -107,7 +103,7 @@ def test_criterion_02_per_sensor_regime_and_small_phase_inflation():
         spec = _nv_spec(
             noise, omegas, power=PerSensorPower(1.0), theta_range=4.0, trials=100_000
         )
-        result = run_experiment(spec)
+        result = run_kind(spec)["cm"]
         for rec in result.records:
             rel = abs(rec.normalized_variance / rec.analytic_asv - 1.0)
             if rel > worst:
@@ -120,7 +116,7 @@ def test_criterion_02_per_sensor_regime_and_small_phase_inflation():
         Gaussian(1.0), [0.02], power=PerSensorPower(1.0), theta_range=4.0,
         n_sensors=50, trials=20_000,
     )
-    rec = run_experiment(spec).records[0]
+    rec = run_kind(spec)["cm"].records[0]
     inflation = rec.normalized_variance / rec.analytic_asv
     ok_inflation = inflation >= 2.0
 
@@ -241,7 +237,7 @@ def test_criterion_06_af_level_and_flatness():
         trials=50_000,
         seed=SEED,
     )
-    af_point = run_af_compare(point_spec)["af"].records[0]
+    af_point = run_kind(point_spec)["af"].records[0]
     level_dev = abs(af_point.normalized_variance / 1.25 - 1.0)
 
     size_spec = ExperimentSpec(
@@ -251,7 +247,7 @@ def test_criterion_06_af_level_and_flatness():
         trials=20_000,
         seed=SEED + 6,
     )
-    tracks = run_af_compare(size_spec)
+    tracks = run_kind(size_spec)
     reg = tracks["af"].metadata["flatness_regression"]
     flat = abs(reg["slope"]) <= 3.0 * reg["stderr"]
     cm_nv = [r.normalized_variance for r in tracks["cm"].records]
@@ -284,7 +280,7 @@ def _fading_ratio(fading, trials=100_000):
         trials=trials,
         seed=SEED + 7,
     )
-    tracks = run_fading_compare(spec)
+    tracks = run_kind(spec)
     return tracks["faded"].metadata["measured_ratio_by_point"][0]
 
 
@@ -321,7 +317,7 @@ def test_criterion_08_cauchy_robustness():
         seed=SEED + 8,
         af_nominal_variance=1.0,
     )
-    tracks = run_cauchy_robustness(spec)
+    tracks = run_kind(spec)
     med = tracks["cm-batch"].metadata["median_abs_error_by_point"]
     decreasing = med[0] > med[1] > med[2]
     ks = tracks["af-batch"].metadata["ks_af_smallest_vs_largest"]
@@ -429,7 +425,7 @@ def test_criterion_11_heterogeneous_consistency():
         trials=300,
         seed=SEED + 12,
     )
-    tracks = run_heterogeneous_consistency(spec)
+    tracks = run_kind(spec)
     bounded = tracks["bounded"].metadata["mse_by_point"]
     linear = tracks["linear-growth"].metadata["mse_by_point"]
     ok = bounded[1] < 0.05 and linear[1] > 0.5 * linear[0]

@@ -24,7 +24,7 @@ from cmest.asv import (
     sample_curve,
 )
 from cmest.channel import NoFading, RayleighFading, RiceanFading
-from cmest.errors import CfZeroError, ConfigError, DomainError, SingularAngleError
+from cmest.errors import CfZeroError, ConfigError, DomainError
 from cmest.noise import Cauchy, ClassA, Gaussian, Laplace, Uniform
 from cmest.specfun import ricean_fading_penalty
 
@@ -72,6 +72,14 @@ class TestGenericAgainstClosedForms:
     def test_nonpositive_omega_rejected(self):
         with pytest.raises(DomainError):
             asv_gaussian(1.0, 0.1, 0.0)
+
+    def test_underflowing_omega_is_a_domain_error(self):
+        # 2*omega^2*phi^2 underflows to 0 below about 1e-162: a domain error
+        # naming the underflow, not a ZeroDivisionError
+        ctx = AsvContext(noise=Gaussian(1.0), snr_inv=0.1)
+        with pytest.raises(DomainError, match="underflow"):
+            asv_generic(ctx, 1e-200)
+        assert math.isfinite(asv_generic(ctx, 1e-150))
 
     def test_fading_penalty_scales_generic(self):
         base = asv_generic(AsvContext(noise=Gaussian(1.0), snr_inv=0.1), 0.4)
@@ -186,26 +194,24 @@ class TestAppendixCovariance:
             )
             assert terms.composite() == pytest.approx(expected, rel=1e-10)
 
-    def test_tan_form_singular_angle(self):
-        omega, theta = 0.5, math.pi  # omega*theta = pi/2
-        with pytest.raises(SingularAngleError):
-            appendix_covariance(Gaussian(1.0), omega, theta, 10.0, 1.0, form="tan")
-
-    def test_auto_form_survives_singular_angle(self):
-        omega, theta = 0.5, math.pi
-        terms = appendix_covariance(Gaussian(1.0), omega, theta, 10.0, 1.0)
+    def test_composite_survives_tangent_singular_angle(self):
+        # omega*theta = pi/2 + k*pi, where the tangent form of the gradient
+        # is singular: the sin/cos gradients still reproduce the formula
+        omega = 0.5
         expected = asv_generic(AsvContext(noise=Gaussian(1.0), snr_inv=0.1), omega)
-        assert terms.composite() == pytest.approx(expected, rel=1e-10)
+        for k in range(4):
+            theta = (math.pi / 2.0 + k * math.pi) / omega
+            terms = appendix_covariance(Gaussian(1.0), omega, theta, 10.0, 1.0)
+            assert terms.composite() == pytest.approx(expected, rel=1e-10)
 
-    def test_tan_and_sincos_agree_away_from_singularity(self):
-        t1 = appendix_covariance(Laplace(1.0), 0.4, 2.0, 10.0, 1.0, form="tan")
-        t2 = appendix_covariance(Laplace(1.0), 0.4, 2.0, 10.0, 1.0, form="sincos")
-        assert t1.g1 == pytest.approx(t2.g1, rel=1e-12)
-        assert t1.g2 == pytest.approx(t2.g2, rel=1e-12)
-
-    def test_unknown_form_rejected(self):
-        with pytest.raises(ConfigError):
-            appendix_covariance(Gaussian(1.0), 0.4, 2.0, 10.0, 1.0, form="nope")
+    def test_composite_matches_generic_across_angles(self):
+        # a dense sweep of omega*theta over [0, 2*pi], near-singular angles
+        # included, for one fixed noise and channel
+        ctx = AsvContext(noise=Laplace(1.0), snr_inv=0.1)
+        expected = asv_generic(ctx, 0.4)
+        for theta in np.linspace(0.0, 2.0 * math.pi / 0.4, 401):
+            terms = appendix_covariance(Laplace(1.0), 0.4, theta, 10.0, 1.0)
+            assert terms.composite() == pytest.approx(expected, rel=1e-12)
 
 
 class TestCurveShape:

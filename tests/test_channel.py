@@ -11,15 +11,12 @@ from cmest.channel import (
     PerSensorPower,
     RayleighFading,
     RiceanFading,
-    Snapshot,
     TotalPower,
     _row_chunks,
     _wrap_to_float32,
     af_gain,
     af_snapshot_batch,
     cm_snapshot_batch,
-    simulate_af_snapshot,
-    simulate_cm_snapshot,
 )
 from cmest.errors import ConfigError
 from cmest.estimators import cm_estimates
@@ -120,9 +117,9 @@ class TestConstantModulus:
             noise=_ZeroNoise(),
             theta_range=2.0 * math.pi,
         )
-        snap = simulate_cm_snapshot(cfg, rng)
-        assert isinstance(snap, Snapshot)
-        assert snap.y == pytest.approx(np.exp(2.0j), rel=1e-12)
+        y = cm_snapshot_batch(cfg, 1, rng)
+        assert y.shape == (1,)
+        assert y[0] == pytest.approx(np.exp(2.0j), rel=1e-12)
 
     def test_noiseless_network(self, rng):
         cfg = _config(n_sensors=50, channel_noise_variance=0.0, noise=_ZeroNoise())
@@ -176,9 +173,12 @@ class TestConstantModulus:
 
     def test_deterministic_replay(self):
         cfg = _config()
-        a = simulate_cm_snapshot(cfg, np.random.default_rng(77))
-        b = simulate_cm_snapshot(cfg, np.random.default_rng(77))
-        assert a.y == b.y
+        a = cm_snapshot_batch(cfg, 5, np.random.default_rng(77))
+        b = cm_snapshot_batch(cfg, 5, np.random.default_rng(77))
+        np.testing.assert_array_equal(a, b)
+        c = af_snapshot_batch(cfg, 1.0, np.random.default_rng(77), 5)
+        d = af_snapshot_batch(cfg, 1.0, np.random.default_rng(77), 5)
+        np.testing.assert_array_equal(c, d)
 
 
 def _reference_cm_batch(config, n_trials, rng):
@@ -361,9 +361,10 @@ class TestAmplifyForward:
 
     def test_noiseless_value(self, rng):
         cfg = _config(channel_noise_variance=0.0, noise=_ZeroNoise())
-        snap = simulate_af_snapshot(cfg, 1.0, rng)
+        y = af_snapshot_batch(cfg, 1.0, rng)
         alpha = af_gain(cfg, 1.0)
-        assert snap.y == pytest.approx(alpha * 500 * 2.0, rel=1e-12)
+        assert y.shape == (1,)
+        assert y[0] == pytest.approx(alpha * 500 * 2.0, rel=1e-12)
 
     def test_average_power_constraint(self, rng):
         # alpha_L^2 * E[(theta + eta)^2] = P_T / L for matched nominal variance

@@ -163,6 +163,56 @@ class TestErrorPaths:
         cfg = _write_config(tmp_path, d)
         assert main(["simulate", "--config", cfg, "--check"]) == 2
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            # each ran before typed config reading, with a traceback, a
+            # silently coerced value, an all-NaN run or a numeric error
+            (("sweep", "values"), "0.3"),
+            (("sweep",), {"parameter": "n_sensors", "values": [50, math.nan]}),
+            (("sweep",), {"parameter": "n_sensors", "values": [50, math.inf]}),
+            (("sweep",), {"parameter": "n_sensors", "values": [50, 2.7]}),
+            (("network", "n_sensors"), 2.7),
+            (("trials",), "5"),
+            (("seed",), 1.5),
+            (("network", "noise"), {"kind": "gaussian", "variance": math.nan}),
+            (("network", "noise"), {"kind": "cauchy", "scale": math.inf}),
+            (("network", "fading"), {"kind": "ricean", "k_factor": math.nan}),
+            (("network", "theta"), True),
+        ],
+    )
+    def test_malformed_values_are_config_errors(self, tmp_path, capsys, path, value):
+        d = _tiny_spec_dict()
+        *parents, key = path
+        target = d
+        for p in parents:
+            target = target[p]
+        target[key] = value
+        cfg = _write_config(tmp_path, d)
+        assert main(["simulate", "--config", cfg, "--check"]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_integral_floats_are_accepted(self, tmp_path):
+        d = _tiny_spec_dict(trials=50.0, seed=11.0)
+        d["network"]["n_sensors"] = 100.0
+        d["sweep"] = {"parameter": "n_sensors", "values": [50.0, 100]}
+        d["kind"] = "var-vs-L"
+        assert main(["simulate", "--config", _write_config(tmp_path, d)]) == 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_underflowing_omega_is_numeric_error(self, tmp_path, capsys):
+        d = _tiny_spec_dict(sweep={"parameter": "omega", "values": [1e-200]}, trials=4)
+        assert main(["simulate", "--config", _write_config(tmp_path, d)]) == 3
+        assert "underflow" in capsys.readouterr().err
+        curve = {
+            "noise": {"kind": "gaussian", "variance": 1.0},
+            "theta_range": 12.0,
+            "omegas": [1e-200, 0.5],
+        }
+        cfg = _write_config(tmp_path, curve, name="curve.json")
+        assert main(["asv-curve", "--config", cfg]) == 3
+        assert "outside float64 range" in capsys.readouterr().err
+
     def test_unknown_noise_kind(self, tmp_path):
         d = _tiny_spec_dict()
         d["network"]["noise"] = {"kind": "pareto"}

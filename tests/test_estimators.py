@@ -9,27 +9,15 @@ from cmest import optimize
 from cmest.channel import (
     NetworkConfig,
     PerSensorPower,
-    Snapshot,
     TotalPower,
     af_gain,
     af_snapshot_batch,
     cm_snapshot_batch,
 )
-from cmest.errors import DegenerateInputError
-from cmest.estimators import (
-    af_estimates,
-    cm_estimates,
-    estimate_af,
-    estimate_cm,
-)
+from cmest.estimators import af_estimates, cm_estimates
 from cmest.noise import Cauchy, ClassA, Gaussian, Laplace, Uniform
 
 from test_channel import _ZeroNoise, _config
-
-
-def _snap(y, L=100, cfg=None):
-    cfg = cfg or _config(n_sensors=L)
-    return Snapshot(y=y, n_sensors=L, config=cfg)
 
 
 class TestPhaseEstimator:
@@ -38,19 +26,18 @@ class TestPhaseEstimator:
         L, omega, theta = 64, 0.5, 2.0
         scale = math.sqrt(L) if isinstance(power, TotalPower) else L
         y = scale * np.exp(1j * omega * theta)
-        est = estimate_cm(_snap(y, L), omega, power)
-        assert est.value == pytest.approx(theta, rel=1e-12)
-        assert est.raw_angle == pytest.approx(omega * theta, rel=1e-12)
-        assert est.normalization == power
+        est = cm_estimates(np.array([y]), L, omega, power)
+        assert est[0] == pytest.approx(theta, rel=1e-12)
 
     def test_wrap_past_pi(self):
-        # omega*theta = 3*pi/2 lands on the negative imaginary axis, which the
-        # principal-value arctangent alone cannot distinguish from pi/2 - pi
-        omega, theta = 3.0 * math.pi / 8.0, 4.0
-        y = 10.0 * np.exp(1j * omega * theta)
-        est = estimate_cm(_snap(y), omega, TotalPower(10.0))
-        assert est.raw_angle == pytest.approx(3.0 * math.pi / 2.0, rel=1e-12)
-        assert est.value == pytest.approx(theta, rel=1e-12)
+        # every angle of the full [0, 2*pi) range comes back, including
+        # omega*theta = 3*pi/2 on the negative imaginary axis, which the
+        # principal-value arctangent alone cannot tell from pi/2 - pi
+        omega = 3.0 * math.pi / 8.0
+        thetas = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])  # up to 15*pi/8
+        y = 10.0 * np.exp(1j * omega * thetas)
+        est = cm_estimates(y, 100, omega, TotalPower(10.0))
+        np.testing.assert_allclose(est, thetas, rtol=1e-12, atol=1e-15)
 
     @given(
         st.floats(min_value=-50.0, max_value=50.0),
@@ -63,13 +50,14 @@ class TestPhaseEstimator:
         # |y| away from the subnormal range where the normalization underflows
         y = complex(re, im)
         assume(abs(y) > 1e-150)
-        a = estimate_cm(_snap(y), 0.5, TotalPower(10.0))
-        b = estimate_cm(_snap(c * y), 0.5, TotalPower(10.0))
-        assert a.value == pytest.approx(b.value, rel=1e-9, abs=1e-9)
+        a, b = cm_estimates(np.array([y, c * y]), 100, 0.5, TotalPower(10.0))
+        assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
 
-    def test_degenerate_zero_modulus(self):
-        with pytest.raises(DegenerateInputError):
-            estimate_cm(_snap(0.0 + 0.0j), 0.5, TotalPower(10.0))
+    @pytest.mark.parametrize("power", [TotalPower(10.0), PerSensorPower(1.0)])
+    def test_degenerate_zero_modulus(self, power):
+        # the phase of a zero-modulus value is undefined: NaN, not an angle
+        est = cm_estimates(np.array([0.0 + 0.0j, -0.0 - 0.0j]), 100, 0.5, power)
+        assert np.isnan(est).all()
 
     def test_batch_marks_degenerate_as_nan(self):
         vals = cm_estimates(np.array([0.0 + 0.0j, 1.0 + 0.0j]), 4, 0.5, TotalPower(1.0))
@@ -92,11 +80,12 @@ class TestAfEstimator:
         y = af_snapshot_batch(cfg, 1.0, rng, 5)
         np.testing.assert_allclose(af_estimates(y, 500, alpha), 2.0, rtol=1e-12)
 
-    def test_scalar_path(self, rng):
+    def test_scalar_path(self):
+        # one received value, not a batch: the noiseless AF value inverts
         cfg = _config(channel_noise_variance=0.0, noise=_ZeroNoise())
         alpha = af_gain(cfg, 1.0)
-        snap = Snapshot(y=alpha * 500 * 2.0 + 0.0j, n_sensors=500, config=cfg)
-        assert estimate_af(snap, alpha) == pytest.approx(2.0, rel=1e-12)
+        est = af_estimates(alpha * 500 * 2.0 + 0.0j, 500, alpha)
+        assert est == pytest.approx(2.0, rel=1e-12)
 
     def test_channel_noise_only_variance(self, rng):
         # with eta = 0 the estimate error is Re{v}/(L alpha), variance
@@ -115,18 +104,6 @@ class TestAfEstimator:
         y = af_snapshot_batch(cfg, 1.0, rng, 50_000)
         errs = af_estimates(y, 500, alpha) - 2.0
         assert 500 * errs.var() == pytest.approx(1.0, rel=0.05)
-
-
-def _omega_for(model, snr_inv, theta_range):
-    if isinstance(model, Gaussian):
-        return optimize.omega_star_gaussian(model.variance_, snr_inv, theta_range).omega
-    if isinstance(model, Laplace):
-        return optimize.omega_star_laplace(model.variance_, snr_inv, theta_range).omega
-    if isinstance(model, Uniform):
-        return optimize.omega_star_uniform(model.variance_, snr_inv, theta_range).omega
-    if isinstance(model, Cauchy):
-        return optimize.omega_star_cauchy(model.scale, snr_inv, theta_range).omega
-    return optimize.omega_star_numeric(model, snr_inv, theta_range).omega
 
 
 def _mse(model, omega, L, trials, seed):
@@ -158,7 +135,7 @@ class TestConsistency:
         ids=["gaussian", "laplace", "uniform", "cauchy", "class-a"],
     )
     def test_mse_shrinks_with_network_size(self, model):
-        omega = _omega_for(model, 0.1, 12.0)
+        omega = optimize.omega_star(model, 0.1, 12.0).omega
         mses = [_mse(model, omega, L, 1500, seed=101 + L) for L in (10, 50, 200, 1000)]
         assert all(a > b for a, b in zip(mses, mses[1:])), mses
         assert _mse(model, omega, 10_000, 300, seed=55) < 0.01

@@ -12,6 +12,7 @@ from cmest.channel import (
     NetworkConfig,
     PerSensorPower,
     RayleighFading,
+    RiceanFading,
     TotalPower,
 )
 from cmest.errors import ConfigError
@@ -26,11 +27,6 @@ from cmest.harness import (
     compared_points,
     result_to_csv,
     result_to_json,
-    run_af_compare,
-    run_cauchy_robustness,
-    run_experiment,
-    run_fading_compare,
-    run_heterogeneous_consistency,
     run_kind,
     spec_from_dict,
     spec_to_dict,
@@ -39,8 +35,11 @@ from cmest.harness import (
 from cmest.noise import (
     BoundedScales,
     Cauchy,
+    ClassA,
     Gaussian,
     HeterogeneousScaled,
+    Laplace,
+    LinearGrowthScales,
     Uniform,
 )
 
@@ -75,8 +74,7 @@ class TestTrialAccumulator:
     def test_matches_numpy(self, rng):
         xs = rng.standard_normal(1000) * 3.0 + 1.0
         acc = TrialAccumulator()
-        for x in xs[:100]:
-            acc.add(float(x))
+        acc.add_batch(xs[:100])
         acc.add_batch(xs[100:])
         assert acc.n == 1000
         assert acc.mean == pytest.approx(xs.mean(), rel=1e-12)
@@ -86,9 +84,11 @@ class TestTrialAccumulator:
     def test_small_counts(self):
         acc = TrialAccumulator()
         assert math.isnan(acc.variance)
-        acc.add(3.0)
+        acc.add_batch(np.array([3.0]))
         assert acc.mean == 3.0
         assert math.isnan(acc.variance)
+        acc.add_batch(np.array([]))
+        assert acc.n == 1
 
     @given(
         st.lists(
@@ -127,8 +127,8 @@ class TestTrialAccumulator:
 class TestDeterminism:
     def test_thread_count_does_not_change_results(self):
         spec = _spec(trials=10_000)
-        r1 = run_experiment(spec, threads=1)
-        r4 = run_experiment(spec, threads=4)
+        r1 = run_kind(spec, threads=1)["cm"]
+        r4 = run_kind(spec, threads=4)["cm"]
         assert r1.records == r4.records
         assert result_to_csv(r1) == result_to_csv(r4)
         assert result_to_json(r1) == result_to_json(r4)
@@ -144,8 +144,8 @@ class TestDeterminism:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_different_seeds_differ(self):
-        a = run_experiment(_spec(seed=1), threads=1)
-        b = run_experiment(_spec(seed=2), threads=1)
+        a = run_kind(_spec(seed=1), threads=1)["cm"]
+        b = run_kind(_spec(seed=2), threads=1)["cm"]
         assert a.records != b.records
 
 
@@ -157,7 +157,7 @@ class TestRunExperiment:
             sweep=Sweep("omega", (2.0 * math.pi / 12.0,)),
             trials=30_000,
         )
-        rec = run_experiment(spec).records[0]
+        rec = run_kind(spec)["cm"].records[0]
         assert rec.analytic_asv == pytest.approx(1.252478, rel=1e-5)
         assert rec.normalized_variance == pytest.approx(rec.analytic_asv, rel=0.05)
 
@@ -169,7 +169,7 @@ class TestRunExperiment:
             sweep=Sweep("omega", (0.5,)),
             trials=2000,
         )
-        rec = run_experiment(spec).records[0]
+        rec = run_kind(spec)["cm"].records[0]
         assert rec.normalized_variance < 1e-6
 
     def test_per_sensor_mode_reports_zero_snr_asymptote(self):
@@ -178,19 +178,19 @@ class TestRunExperiment:
             sweep=Sweep("omega", (0.4,)),
             trials=1000,
         )
-        rec = run_experiment(spec).records[0]
+        rec = run_kind(spec)["cm"].records[0]
         assert rec.analytic_asv == pytest.approx(
             asv.asv_gaussian(1.0, 0.0, 0.4), rel=1e-12
         )
 
     def test_kind_and_sweep_must_agree(self):
         with pytest.raises(ConfigError):
-            run_experiment(_spec(kind="var-vs-L"))
+            run_kind(_spec(kind="var-vs-L"))
 
     def test_invalid_sweep_value_propagates_config_error(self):
         spec = _spec(sweep=Sweep("omega", (0.3, 100.0)))  # beyond 2*pi/theta_range
         with pytest.raises(ConfigError):
-            run_experiment(spec)
+            run_kind(spec)
 
     def test_standard_errors_are_honest(self):
         # across seeds, the analytic value should sit inside +-3 SE nearly
@@ -202,10 +202,71 @@ class TestRunExperiment:
         )
         hits = 0
         for seed in range(100):
-            rec = run_experiment(replace(spec_base, seed=seed)).records[0]
+            rec = run_kind(replace(spec_base, seed=seed))["cm"].records[0]
             if abs(rec.normalized_variance - rec.analytic_asv) <= 3.0 * rec.std_error:
                 hits += 1
         assert hits >= 99
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_all_degenerate_point_has_nan_bias(self):
+        # scale 1e305 at L = 50000: every trial has an overflowing draw, so no
+        # finite estimate is left and the point has no bias to report
+        spec = _spec(
+            network=_network(noise=Cauchy(1e305), n_sensors=50_000),
+            sweep=Sweep("omega", (0.5,)),
+            trials=4,
+        )
+        result = run_kind(spec)["cm"]
+        rec = result.records[0]
+        assert rec.n_trials == 0
+        assert result.metadata["degenerate_trials"] == [4]
+        assert math.isnan(rec.bias)
+        assert result_to_csv(result).split("\n")[1].endswith(",nan")
+
+
+def _tiny_spec(kind):
+    """A two-point spec of ``kind`` at tiny trials."""
+    if kind == "asv-vs-omega":
+        return _spec(trials=5)
+    network = _network()
+    if kind == "fading-compare":
+        network = _network(fading=RayleighFading())
+    elif kind == "heterogeneous-consistency":
+        noise = HeterogeneousScaled(Gaussian(1.0), BoundedScales(1.0))
+        network = _network(noise=noise, power=PerSensorPower(1.0))
+    parameter = "theta" if kind == "af-compare" else "n_sensors"
+    values = (1.0, 3.0) if kind == "af-compare" else (20.0, 40.0)
+    return _spec(kind=kind, network=network, sweep=Sweep(parameter, values), trials=5)
+
+
+@pytest.mark.parametrize(
+    "kind, labels",
+    [
+        ("asv-vs-omega", ["cm"]),
+        ("var-vs-L", ["cm"]),
+        ("fading-compare", ["faded", "unfaded"]),
+        ("af-compare", ["cm", "af"]),
+        ("cauchy-robustness", ["cm-batch", "af-batch", "cm-trace", "af-trace"]),
+        ("heterogeneous-consistency", ["bounded", "linear-growth"]),
+    ],
+)
+def test_every_kind_shares_the_track_metadata(kind, labels):
+    spec = _tiny_spec(kind)
+    tracks = run_kind(spec)
+    assert list(tracks) == labels
+    for label, result in tracks.items():
+        meta = result.metadata
+        assert {"kind", "track", "seed", "spec", "version"} <= set(meta)
+        assert (meta["kind"], meta["track"], meta["seed"]) == (kind, label, spec.seed)
+        assert meta["spec"] == spec_to_dict(spec)
+        assert len(meta["degenerate_trials"]) == len(result.records) == 2
+
+
+def test_kind_rejects_a_sweep_it_does_not_run():
+    spec = _spec(kind="cauchy-robustness", af_nominal_variance=1.0)  # an omega sweep
+    with pytest.raises(ConfigError):
+        run_kind(spec)
 
 
 class TestFadingCompare:
@@ -216,7 +277,7 @@ class TestFadingCompare:
             sweep=Sweep("n_sensors", (500.0,)),
             trials=20_000,
         )
-        tracks = run_fading_compare(spec)
+        tracks = run_kind(spec)
         ratio = tracks["faded"].metadata["measured_ratio_by_point"][0]
         assert ratio == pytest.approx(4.0 / math.pi, rel=0.1)
         assert tracks["faded"].metadata["fading_penalty"] == pytest.approx(4 / math.pi)
@@ -226,7 +287,7 @@ class TestFadingCompare:
 
     def test_requires_fading_model(self):
         with pytest.raises(ConfigError):
-            run_fading_compare(_spec(kind="fading-compare",
+            run_kind(_spec(kind="fading-compare",
                                      sweep=Sweep("n_sensors", (100.0,))))
 
 
@@ -239,7 +300,7 @@ class TestAfCompare:
             sweep=Sweep("theta", (0.25, 11.5)),
             trials=20_000,
         )
-        tracks = run_af_compare(spec)
+        tracks = run_kind(spec)
         cm = tracks["cm"].records
         af = tracks["af"].records
         assert af[0].normalized_variance < cm[0].normalized_variance
@@ -254,7 +315,7 @@ class TestAfCompare:
             sweep=Sweep("n_sensors", (50.0, 100.0, 200.0, 500.0)),
             trials=5000,
         )
-        tracks = run_af_compare(spec)
+        tracks = run_kind(spec)
         reg = tracks["af"].metadata["flatness_regression"]
         assert abs(reg["slope"]) <= 4.0 * reg["stderr"]
 
@@ -265,7 +326,7 @@ class TestAfCompare:
             sweep=Sweep("theta", (2.0,)),
         )
         with pytest.raises(ConfigError):
-            run_af_compare(spec)
+            run_kind(spec)
 
 
 @pytest.fixture(scope="module")
@@ -277,7 +338,7 @@ def robustness_tracks():
         trials=400,
         af_nominal_variance=1.0,
     )
-    return run_cauchy_robustness(spec)
+    return run_kind(spec)
 
 
 class TestCauchyRobustness:
@@ -307,8 +368,8 @@ class TestCauchyRobustness:
             trials=50,
             af_nominal_variance=1.0,
         )
-        a = run_cauchy_robustness(spec)
-        b = run_cauchy_robustness(spec)
+        a = run_kind(spec)
+        b = run_kind(spec)
         for key in a:
             # NaN-tolerant comparison: replayed files must be byte-identical
             assert result_to_csv(a[key]) == result_to_csv(b[key])
@@ -325,7 +386,7 @@ class TestCauchyRobustness:
             trials=400,
             af_nominal_variance=1.0,
         )
-        tracks = run_cauchy_robustness(spec)
+        tracks = run_kind(spec)
         for label, result in tracks.items():
             degenerate = result.metadata["degenerate_trials"]
             trials = 1 if label.endswith("trace") else 400
@@ -345,7 +406,7 @@ class TestHeterogeneousConsistency:
             sweep=Sweep("n_sensors", (100.0, 1000.0)),
             trials=300,
         )
-        tracks = run_heterogeneous_consistency(spec)
+        tracks = run_kind(spec)
         assert set(tracks) == {"bounded", "linear-growth"}
         bounded = tracks["bounded"].metadata["mse_by_point"]
         linear = tracks["linear-growth"].metadata["mse_by_point"]
@@ -364,7 +425,7 @@ class TestHeterogeneousConsistency:
             sweep=Sweep("n_sensors", (100.0, 200.0)),
             trials=400,
         )
-        for result in run_heterogeneous_consistency(spec).values():
+        for result in run_kind(spec).values():
             degenerate = result.metadata["degenerate_trials"]
             assert [r.n_trials + d for r, d in zip(result.records, degenerate)] == [
                 400, 400
@@ -377,12 +438,12 @@ class TestHeterogeneousConsistency:
             sweep=Sweep("n_sensors", (100.0,)),
         )
         with pytest.raises(ConfigError):
-            run_heterogeneous_consistency(spec)
+            run_kind(spec)
 
 
 class TestSerialization:
     def test_csv_schema(self):
-        result = run_experiment(_spec(trials=100))
+        result = run_kind(_spec(trials=100))["cm"]
         text = result_to_csv(result)
         lines = text.strip().split("\n")
         assert lines[0] == CSV_HEADER
@@ -396,7 +457,7 @@ class TestSerialization:
         assert int(first[1]) == 100
 
     def test_json_round_trip(self):
-        result = run_experiment(_spec(trials=100))
+        result = run_kind(_spec(trials=100))["cm"]
         payload = json.loads(result_to_json(result))
         assert payload["metadata"]["seed"] == 4242
         assert payload["metadata"]["version"]
@@ -421,7 +482,7 @@ class TestSerialization:
             trials=20,
             af_nominal_variance=1.0,
         )
-        tracks = run_cauchy_robustness(spec)
+        tracks = run_kind(spec)
         payload = json.loads(result_to_json(tracks["af-trace"]))
         assert payload["records"][0]["normalized_variance"] is None
 
@@ -432,7 +493,7 @@ class TestSerialization:
             sweep=Sweep("n_sensors", (100.0,)),
             trials=200,
         )
-        tracks = run_fading_compare(spec)
+        tracks = run_kind(spec)
         paths = write_tracks(tracks, tmp_path / "out.csv", "csv")
         names = sorted(p.name for p in paths)
         assert names == ["out.faded.csv", "out.unfaded.csv"]
@@ -440,12 +501,62 @@ class TestSerialization:
     def test_spec_dict_round_trip_all_models(self):
         for noise in [
             Gaussian(1.5),
+            Laplace(0.5),
             Cauchy(0.5),
             Uniform(2.0),
+            ClassA(0.5, 0.1, 3.0),
             HeterogeneousScaled(Gaussian(1.0), BoundedScales(2.0)),
+            HeterogeneousScaled(Laplace(1.0), LinearGrowthScales(0.5)),
         ]:
             spec = _spec(network=_network(noise=noise))
             assert spec_from_dict(spec_to_dict(spec)) == spec
+        for fading in (RayleighFading(), RiceanFading(5.0)):
+            spec = _spec(network=_network(fading=fading))
+            assert spec_from_dict(spec_to_dict(spec)) == spec
+        spec = _spec(
+            kind="af-compare",
+            network=_network(power=PerSensorPower(2.0)),
+            sweep=Sweep("theta", (1.0,)),
+            af_nominal_variance=1.0,
+        )
+        d = spec_to_dict(spec)
+        assert d["network"]["power"] == {"mode": "per-sensor", "rho": 2.0}
+        assert d["af_nominal_variance"] == 1.0
+        assert spec_from_dict(d) == spec
+
+    def test_schema_of_written_spec(self):
+        noise = HeterogeneousScaled(Gaussian(1.0), BoundedScales(2.0))
+        d = spec_to_dict(_spec(network=_network(noise=noise)))
+        assert "af_nominal_variance" not in d
+        assert d["network"]["fading"] == {"kind": "none"}
+        assert d["network"]["noise"] == {
+            "kind": "heterogeneous",
+            "base": {"kind": "gaussian", "variance": 1.0},
+            "rule": {"kind": "bounded", "sigma_max": 2.0},
+        }
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("network", "noise"), {"kind": "gaussian"}),  # missing key
+            (("network", "noise"), {"kind": "pareto", "variance": 1.0}),
+            (("network", "noise", "rule"), {"kind": "bounded", "sigma": 1.0}),
+            (("network", "power"), {"mode": "total"}),
+            (("network", "fading"), {"kind": "ricean"}),
+            (("network", "fading"), "rayleigh"),  # not a mapping
+            (("sweep",), {"parameter": "omega"}),
+        ],
+    )
+    def test_registry_rejects_malformed_dicts(self, path, value):
+        noise = HeterogeneousScaled(Gaussian(1.0), BoundedScales(2.0))
+        d = spec_to_dict(_spec(network=_network(noise=noise)))
+        *parents, key = path
+        target = d
+        for p in parents:
+            target = target[p]
+        target[key] = value
+        with pytest.raises(ConfigError):
+            spec_from_dict(d)
 
     def test_unknown_keys_rejected(self):
         d = spec_to_dict(_spec())
@@ -454,14 +565,14 @@ class TestSerialization:
             spec_from_dict(d)
 
     def test_wall_time_not_serialized(self):
-        result = run_experiment(_spec(trials=100))
+        result = run_kind(_spec(trials=100))["cm"]
         assert result.wall_time_s > 0.0
         assert "wall_time" not in result_to_json(result)
 
 
 class TestCheck:
     def test_detects_mismatch(self):
-        result = run_experiment(_spec(network=_network(n_sensors=500), trials=5000))
+        result = run_kind(_spec(network=_network(n_sensors=500), trials=5000))["cm"]
         assert check_against_analytic(result, tolerance=0.2) == []
         failures = check_against_analytic(result, tolerance=1e-9)
         assert failures and {"sweep_value", "relative_deviation"} <= set(failures[0])

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from cmest import asv
+from cmest import asv, optimize
 from cmest.asv import AsvContext, asv_on_grid
-from cmest.errors import RootNotFoundError
+from cmest.errors import ConfigError, RootNotFoundError
 from cmest.noise import Cauchy, ClassA, Gaussian, Laplace, Uniform
 from cmest.optimize import (
+    omega_star,
     omega_star_cauchy,
     omega_star_gaussian,
     omega_star_laplace,
@@ -193,6 +194,46 @@ class TestNumericGlobal:
             star = omega_star_numeric(noise, snr, 12.0)
             w_grid, v_grid = grid_argmin(AsvContext(noise, snr), 12.0, n_points=200_000)
             assert star.asv_at_opt <= v_grid * (1.0 + 1e-9)
+
+
+class TestDispatch:
+    @pytest.mark.parametrize(
+        "noise, solver, param",
+        [
+            (Gaussian(2.0), omega_star_gaussian, 2.0),
+            (Laplace(0.5), omega_star_laplace, 0.5),
+            (Uniform(1.5), omega_star_uniform, 1.5),
+            (Cauchy(0.8), omega_star_cauchy, 0.8),
+        ],
+    )
+    def test_closed_form_per_noise(self, noise, solver, param):
+        expected = solver(param, 0.1, 12.0)
+        assert omega_star(noise, 0.1, 12.0) == expected
+        assert omega_star(noise, 0.1, 12.0, "closed") == expected
+        assert omega_star(noise, 0.1, 12.0, "numeric").method == "grid-global"
+
+    def test_class_a_scans_and_has_no_closed_form(self):
+        noise = ClassA(0.5, 0.1, 3.0)
+        assert omega_star(noise, 0.1, 12.0) == omega_star_numeric(noise, 0.1, 12.0)
+        with pytest.raises(ConfigError):
+            omega_star(noise, 0.1, 12.0, "closed")
+
+    def test_unknown_method(self):
+        with pytest.raises(ConfigError):
+            omega_star(Gaussian(1.0), 0.1, 12.0, "bisect")
+
+    def test_solver_looked_up_at_call_time(self, monkeypatch):
+        # a rebinding of the module's solver (a tracing wrapper, say) is used
+        calls = []
+        original = optimize.omega_star_cauchy
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(optimize, "omega_star_cauchy", spy)
+        omega_star(Cauchy(2.0), 0.1, 12.0)
+        assert calls == [(2.0, 0.1, 12.0)]
 
 
 class TestOptimalityProperties:
