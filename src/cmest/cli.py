@@ -126,7 +126,7 @@ def _curve_result(cfg: dict) -> ExperimentResult:
         ),
     )
     if "omegas" in cfg:
-        omegas = np.asarray(cfg["omegas"], dtype=float)
+        omegas = np.array(harness._number_list(cfg["omegas"], "omegas"))
         values = asv.asv_on_grid(ctx, omegas)
         if not np.all(np.isfinite(values)):
             raise CfZeroError(

@@ -11,7 +11,8 @@ Trials are simulated in fixed-size blocks of ``BLOCK_TRIALS``.  Each block
 draws from its own child stream, derived counter-style from the root seed
 as SeedSequence(seed, spawn_key=(phase, point_index, block_index)), so
 results are bit-identical for a given spec regardless of how many worker
-threads execute the blocks.  Block accumulators are merged in block order.
+threads execute the blocks.  One pool runs every (track, point, block) of a
+run; block accumulators are merged in block order.
 
 Normalized variance is L * var(theta_hat - theta) around the sample mean
 (population-style with the n-1 divisor); the bias is reported separately.
@@ -29,7 +30,6 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as _sstats
 
 from . import asv
 from .channel import (
@@ -243,29 +243,6 @@ def _block_sizes(trials: int) -> List[int]:
     return [BLOCK_TRIALS] * full + ([rem] if rem else [])
 
 
-def _run_blocks(
-    config: NetworkConfig,
-    error_fn: ErrorFn,
-    trials: int,
-    seed: int,
-    phase: int,
-    point_index: int,
-    threads: int,
-) -> List[np.ndarray]:
-    """Error arrays for every block of one sweep point, in block order."""
-    sizes = _block_sizes(trials)
-
-    def work(block_index: int) -> np.ndarray:
-        ss = np.random.SeedSequence(seed, spawn_key=(phase, point_index, block_index))
-        rng = np.random.default_rng(ss)
-        return error_fn(config, sizes[block_index], rng)
-
-    if threads > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(work, range(len(sizes))))
-    return [work(b) for b in range(len(sizes))]
-
-
 def _apply_sweep(network: NetworkConfig, parameter: str, value: float) -> NetworkConfig:
     if parameter == "n_sensors":
         return replace(network, n_sensors=int(value))
@@ -285,42 +262,6 @@ def _record(
         analytic_asv=analytic,
         bias=acc.mean if acc.n else math.nan,  # no finite trial, no bias
     )
-
-
-def _run_track(
-    spec: ExperimentSpec, plan: TrackPlan, threads: int, keep_errors: bool = False
-) -> _Track:
-    """The one point loop: every sweep point of one track, blocks merged in order."""
-    t0 = time.perf_counter()
-    records, accs, kept, degenerates = [], [], [], []
-    for i, value in enumerate(spec.sweep.values):
-        config = _apply_sweep(plan.network, spec.sweep.parameter, value)
-        finite = [
-            errs[np.isfinite(errs)]
-            for errs in _run_blocks(
-                config, plan.error_fn, plan.trials, spec.seed, plan.phase, i, threads
-            )
-        ]
-        acc = TrialAccumulator()
-        for errs in finite:
-            acc.add_batch(errs)
-        records.append(_record(value, acc, plan.analytic_fn(config), config.n_sensors))
-        accs.append(acc)
-        degenerates.append(plan.trials - acc.n)
-        if keep_errors:
-            kept.append(np.concatenate(finite))
-    from cmest import __version__  # local import; package init re-exports this module
-
-    metadata = {
-        "kind": spec.kind,
-        "track": plan.label,
-        "seed": spec.seed,
-        "spec": spec_to_dict(spec),
-        "version": __version__,
-        "degenerate_trials": degenerates,
-    }
-    result = ExperimentResult(records, metadata, time.perf_counter() - t0)
-    return _Track(result, accs, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +383,9 @@ def _af_finish(spec: ExperimentSpec, tracks: Dict[str, _Track]) -> None:
     af.metadata["af_nominal_variance"] = _resolve_af_nominal_variance(spec)
     af.metadata["af_power_calibrated_with_true_theta"] = True
     if spec.sweep.parameter == "n_sensors" and len(af.records) >= 3:
-        fit = _sstats.linregress(
+        from scipy import stats  # imported here only: it dominates cold start
+
+        fit = stats.linregress(
             [r.sweep_value for r in af.records],
             [r.normalized_variance for r in af.records],
         )
@@ -484,7 +427,9 @@ def _robustness_finish(spec: ExperimentSpec, tracks: Dict[str, _Track]) -> None:
         "raw variance recorded but non-convergent when the sensing "
         "noise has no finite moments"
     )
-    ks = _sstats.ks_2samp(errors[0], errors[-1])
+    from scipy import stats  # imported here only: it dominates cold start
+
+    ks = stats.ks_2samp(errors[0], errors[-1])
     meta["ks_af_smallest_vs_largest"] = {
         "statistic": float(ks.statistic),
         "pvalue": float(ks.pvalue),
@@ -555,20 +500,77 @@ _KINDS = {
 
 
 def run_kind(spec: ExperimentSpec, threads: int = 1) -> Dict[str, ExperimentResult]:
-    """Run every track of the spec's kind; returns {label: result} in plan order."""
+    """Run every track of the spec's kind; returns {label: result} in plan order.
+
+    Every (track, point, block) unit runs on one pool of ``threads`` workers
+    (a plain loop for one thread); each point's block accumulators are merged
+    in block order on the calling thread.  Tracks overlap in time, so each
+    track's ``wall_time_s`` is the wall time of the whole run.
+    """
     kind = _KINDS[spec.kind]
     if spec.sweep.parameter not in kind.sweeps:
         raise ConfigError(
             f"kind {spec.kind!r} sweeps one of {kind.sweeps}, "
             f"got {spec.sweep.parameter!r}"
         )
-    tracks = {
-        plan.label: _run_track(spec, plan, threads, kind.keep_errors)
-        for plan in kind.plans(spec)
-    }
+    threads = _integer(threads, "threads")
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
+    t0 = time.perf_counter()
+    plans = kind.plans(spec)
+    configs = [
+        [_apply_sweep(plan.network, spec.sweep.parameter, v) for v in spec.sweep.values]
+        for plan in plans
+    ]
+    units = [
+        (plan, config, i, b, n)
+        for plan, plan_configs in zip(plans, configs)
+        for i, config in enumerate(plan_configs)
+        for b, n in enumerate(_block_sizes(plan.trials))
+    ]
+
+    def work(unit) -> Tuple[TrialAccumulator, Optional[np.ndarray]]:
+        plan, config, i, b, n = unit
+        ss = np.random.SeedSequence(spec.seed, spawn_key=(plan.phase, i, b))
+        errs = plan.error_fn(config, n, np.random.default_rng(ss))
+        finite = errs[np.isfinite(errs)]
+        acc = TrialAccumulator()
+        acc.add_batch(finite)
+        return acc, finite if kind.keep_errors else None
+
+    from cmest import __version__  # local import; package init re-exports this module
+
+    tracks = {}
+    pool = ThreadPoolExecutor(min(threads, len(units))) if threads > 1 else None
+    try:
+        blocks = pool.map(work, units) if pool else map(work, units)
+        for plan, plan_configs in zip(plans, configs):
+            records, accs, kept, degenerates = [], [], [], []
+            for value, config in zip(spec.sweep.values, plan_configs):
+                acc, finite = TrialAccumulator(), []
+                for _ in _block_sizes(plan.trials):
+                    block_acc, errs = next(blocks)
+                    acc.merge(block_acc)
+                    finite.append(errs)
+                analytic = plan.analytic_fn(config)
+                records.append(_record(value, acc, analytic, config.n_sensors))
+                accs.append(acc)
+                degenerates.append(plan.trials - acc.n)
+                if kind.keep_errors:
+                    kept.append(np.concatenate(finite))
+            metadata = dict(
+                kind=spec.kind, track=plan.label, seed=spec.seed,
+                spec=spec_to_dict(spec), version=__version__,
+                degenerate_trials=degenerates,
+            )
+            tracks[plan.label] = _Track(ExperimentResult(records, metadata), accs, kept)
+    finally:
+        if pool is not None:  # after an error, queued units are dropped, not run
+            pool.shutdown(cancel_futures=True)
     if kind.finish is not None:
         kind.finish(spec, tracks)
-    return {label: track.result for label, track in tracks.items()}
+    wall = time.perf_counter() - t0
+    return {label: replace(t.result, wall_time_s=wall) for label, t in tracks.items()}
 
 
 def _is_compared(rec: SweepRecord) -> bool:
@@ -655,8 +657,8 @@ def _text(value, what: str) -> str:
 
 
 def _number_list(value, what: str) -> Tuple[float, ...]:
-    if not isinstance(value, list):
-        raise ConfigError(f"{what} must be a list of numbers, got {value!r}")
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{what} must be a non-empty list of numbers, got {value!r}")
     return tuple(_number(v, what) for v in value)
 
 
@@ -849,19 +851,7 @@ def _jsonable(x):
 def result_to_json(result: ExperimentResult) -> str:
     payload = {
         "metadata": _jsonable(result.metadata),
-        "records": [
-            _jsonable(
-                {
-                    "sweep_value": r.sweep_value,
-                    "n_trials": r.n_trials,
-                    "normalized_variance": r.normalized_variance,
-                    "std_error": r.std_error,
-                    "analytic_asv": r.analytic_asv,
-                    "bias": r.bias,
-                }
-            )
-            for r in result.records
-        ],
+        "records": [_jsonable(vars(r)) for r in result.records],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

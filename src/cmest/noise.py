@@ -6,6 +6,7 @@ sampling takes a caller-owned ``numpy.random.Generator`` so threads never
 share stream state.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -303,6 +304,14 @@ class LinearGrowthScales:
 ScaleRule = Callable[[np.ndarray], np.ndarray]
 
 
+@functools.lru_cache(maxsize=64)
+def _sensor_scales(rule: ScaleRule, n_sensors: int) -> np.ndarray:
+    """Scales of sensors 1..n_sensors, read-only so threads can share them."""
+    scales = np.array(rule(np.arange(1, n_sensors + 1)), dtype=float)
+    scales.flags.writeable = False
+    return scales
+
+
 @dataclass(frozen=True)
 class HeterogeneousScaled(NoiseModel):
     """Non-identically distributed noise eta_i = sigma_i * eta.
@@ -318,7 +327,7 @@ class HeterogeneousScaled(NoiseModel):
         return float(self.scale_rule(sensor_index)) * self.base.sample(rng, size)
 
     def sample_sensors(self, rng, n_trials, n_sensors, out=None):
-        scales = np.asarray(self.scale_rule(np.arange(1, n_sensors + 1)))
+        scales = _sensor_scales(self.scale_rule, n_sensors)
         # Through the base's sampler, not its sample_sensors: one noise
         # matrix is one sampling call.
         draw = self.base._sample_block(rng, (n_trials, n_sensors), out)

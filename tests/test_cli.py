@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cmest
 from cmest import presets
 from cmest.cli import main
 from cmest.harness import CSV_HEADER, run_kind, spec_to_dict
@@ -213,6 +218,12 @@ class TestErrorPaths:
         assert main(["asv-curve", "--config", cfg]) == 3
         assert "outside float64 range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_is_config_error(self, tmp_path, capsys, threads):
+        cfg = _write_config(tmp_path, _tiny_spec_dict(trials=4))
+        assert main(["simulate", "--config", cfg, "--threads", threads]) == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_unknown_noise_kind(self, tmp_path):
         d = _tiny_spec_dict()
         d["network"]["noise"] = {"kind": "pareto"}
@@ -277,6 +288,16 @@ class TestAsvCurve:
         assert vals[0] == pytest.approx(
             asv_gaussian(1.0, 0.1, 0.3) * 4.0 / math.pi, rel=1e-12
         )
+
+    @pytest.mark.parametrize("omegas", [["0.3", True], "0.3", [math.nan], []])
+    def test_malformed_omegas_are_config_errors(self, tmp_path, capsys, omegas):
+        curve = {
+            "noise": {"kind": "gaussian", "variance": 1.0},
+            "theta_range": 12.0,
+            "omegas": omegas,
+        }
+        assert main(["asv-curve", "--config", _write_config(tmp_path, curve)]) == 2
+        assert "config error:" in capsys.readouterr().err
 
 
 class TestOptimizeOmega:
@@ -415,3 +436,12 @@ class TestPresets:
             "cauchy-robustness",
             "heterogeneous-consistency",
         }
+
+
+def test_cli_import_leaves_scipy_out():
+    env = dict(os.environ, PYTHONPATH=str(Path(cmest.__file__).parents[1]))
+    code = "import sys, cmest, cmest.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

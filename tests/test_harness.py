@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +17,7 @@ from cmest.channel import (
     RiceanFading,
     TotalPower,
 )
-from cmest.errors import ConfigError
+from cmest.errors import ConfigError, DomainError
 from cmest.harness import (
     CSV_HEADER,
     ExperimentResult,
@@ -267,6 +269,82 @@ def test_kind_rejects_a_sweep_it_does_not_run():
     spec = _spec(kind="cauchy-robustness", af_nominal_variance=1.0)  # an omega sweep
     with pytest.raises(ConfigError):
         run_kind(spec)
+
+
+class TestWorkPool:
+    @pytest.mark.parametrize("kind", sorted(harness._KINDS))
+    def test_outputs_do_not_depend_on_threads(self, kind):
+        # two blocks per batch point, the second one partial
+        spec = replace(_tiny_spec(kind), trials=harness.BLOCK_TRIALS + 7)
+        rendered = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the workers as often as possible
+        try:
+            for threads in (1, 2, 4):
+                tracks = run_kind(spec, threads=threads)
+                rendered[threads] = {
+                    (label, fmt): harness.render(result, fmt)
+                    for label, result in tracks.items()
+                    for fmt in ("csv", "json")
+                }
+        finally:
+            sys.setswitchinterval(interval)
+        assert rendered[2] == rendered[1]
+        assert rendered[4] == rendered[1]
+
+    def test_blocks_of_different_points_run_together(self, monkeypatch):
+        spec = _spec(trials=50)  # two omega points, one block each
+        expected = result_to_csv(run_kind(spec)["cm"])
+        barrier = threading.Barrier(2, timeout=5)
+        original = harness.cm_snapshot_batch
+
+        def meet(config, n_trials, rng):
+            barrier.wait()  # breaks unless both points' blocks are in flight
+            return original(config, n_trials, rng)
+
+        monkeypatch.setattr(harness, "cm_snapshot_batch", meet)
+        assert result_to_csv(run_kind(spec, threads=2)["cm"]) == expected
+
+    def test_pool_is_capped_at_the_number_of_units(self, monkeypatch):
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+            def shutdown(self, cancel_futures):
+                pass
+
+        spec = _spec(sweep=Sweep("omega", (0.3, 0.4, 0.5)), trials=5)
+        expected = result_to_csv(run_kind(spec)["cm"])
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", SerialPool)
+        assert result_to_csv(run_kind(spec, threads=64)["cm"]) == expected
+        assert seen == [3]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_error_drops_the_queued_units(self, monkeypatch):
+        # the analytic value of the first point underflows (DomainError)
+        omegas = (1e-200,) + tuple(np.linspace(0.2, 0.5, 63))
+        spec = _spec(sweep=Sweep("omega", omegas), trials=2000)
+        calls = []
+        original = harness.cm_snapshot_batch
+
+        def counting(config, n_trials, rng):
+            calls.append(config.omega)
+            return original(config, n_trials, rng)
+
+        monkeypatch.setattr(harness, "cm_snapshot_batch", counting)
+        with pytest.raises(DomainError):
+            run_kind(spec, threads=2)
+        assert len(calls) < len(omegas)
+
+    @pytest.mark.parametrize("threads", [0, -2, True, 1.5, "2"])
+    def test_threads_must_be_a_positive_integer(self, threads):
+        with pytest.raises(ConfigError):
+            run_kind(_spec(trials=5), threads=threads)
 
 
 class TestFadingCompare:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmest import noise
 from cmest.errors import DomainError, MomentUndefinedError, UnsupportedModelError
 from cmest.noise import (
     BoundedScales,
@@ -263,6 +264,21 @@ class TestHeterogeneous:
         )
         np.testing.assert_array_equal(drawn, expected)
         assert np.shares_memory(drawn, buf)
+
+    def test_scales_built_once_per_rule_and_size(self):
+        sizes = []
+
+        class CountingRule:  # hashable by identity, like any plain object
+            def __call__(self, sensor_index):
+                sizes.append(np.size(sensor_index))
+                return np.sqrt(np.asarray(sensor_index, dtype=float))
+
+        het = HeterogeneousScaled(Gaussian(1.0), CountingRule())
+        rng = np.random.default_rng(5)
+        for n_sensors in (40, 40, 50, 40):
+            het.sample_sensors(rng, 3, n_sensors)
+        assert sizes == [40, 50]
+        assert not noise._sensor_scales(het.scale_rule, 40).flags.writeable
 
     def test_one_sampling_call_per_matrix(self, monkeypatch):
         # the base is drawn through its sampler, not its sample_sensors entry
