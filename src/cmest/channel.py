@@ -15,10 +15,10 @@ sensor-sample budget.  Each chunk draws its sensing noise, then its fading
 gains (if any): Rayleigh draws one unit exponential per gain, Ricean the
 chunk's real-part normal block, then its imaginary-part block.  Channel
 noise for the whole batch is drawn after the last chunk.  Identical seed and
-config replay bit-identically.  Fading gains, and Gaussian, Cauchy and
-uniform noise, are drawn into work arrays allocated once per batch; Laplace
-and Class-A noise (also as the base of per-sensor scaling) still allocate
-per chunk.
+config replay bit-identically.  Fading gains, and Gaussian, Cauchy, uniform
+and Class-A noise, are drawn into work arrays allocated once per batch;
+Laplace noise (also as the base of per-sensor scaling) still allocates per
+chunk.
 
 Precision of the constant-modulus kernel: the phase omega*eta is formed and
 wrapped to [-pi, pi] in float64, its cos/sin are taken in float32 (about
@@ -260,7 +260,10 @@ def cm_snapshot_batch(
     for chunk in _row_chunks(n_trials, L):
         rows = chunk.stop - chunk.start
         re, im, scale = re_buf[:rows], im_buf[:rows], scale_buf[:rows]
-        phase = config.noise.sample_sensors(rng, rows, L, out=noise_buf[:rows])
+        # re and scale are free until the trig: the sampler's scratch.
+        phase = config.noise.sample_sensors(
+            rng, rows, L, out=noise_buf[:rows], work=(re, scale)
+        )
         gains = None
         if fading is not None:
             # re is free until the cosines: scratch for a second normal block.

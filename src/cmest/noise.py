@@ -8,6 +8,7 @@ share stream state.
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,27 +58,9 @@ def class_a_mgf(t: float, overlap: float, background_ratio: float, variance: flo
     return out if out.ndim else float(out)
 
 
-def _poisson_inversion(rng: np.random.Generator, lam: float, size) -> np.ndarray:
-    """Poisson draws by CDF inversion with sequential search.
-
-    One uniform per draw; deterministic given the stream.  Expected cost is
-    O(lam) per draw, fine for the small overlap factors used here.
-    """
-    u = rng.random(1 if size is None else size)
-    out = np.zeros(np.shape(u), dtype=np.int64)
-    pmf = math.exp(-lam)
-    cdf = pmf
-    k = 0
-    remaining = u >= cdf
-    while remaining.any():
-        k += 1
-        pmf *= lam / k
-        cdf += pmf
-        out[remaining] = k
-        remaining &= u >= cdf
-        if pmf < 1e-320 and k > lam:  # tail mass exhausted in float64
-            break
-    return out
+def _require_positive(what: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{what} must be finite and > 0, got {value}")
 
 
 class NoiseModel:
@@ -100,17 +83,23 @@ class NoiseModel:
         raise NotImplementedError
 
     def sample_sensors(
-        self, rng: np.random.Generator, n_trials: int, n_sensors: int, out=None
+        self,
+        rng: np.random.Generator,
+        n_trials: int,
+        n_sensors: int,
+        out=None,
+        work=None,
     ) -> np.ndarray:
         """(n_trials, n_sensors) noise matrix; column j belongs to sensor j+1.
 
         ``out``, a C-contiguous float64 array of that shape, may receive the
-        draw in place; always use the returned array.  The values are those
+        draw in place; always use the returned array.  ``work``, two more
+        such arrays, is scratch a model may overwrite.  The values are those
         of ``sample(rng, (n_trials, n_sensors))`` either way.
         """
-        return self._sample_block(rng, (n_trials, n_sensors), out)
+        return self._sample_block(rng, (n_trials, n_sensors), out, work)
 
-    def _sample_block(self, rng, size, out) -> np.ndarray:
+    def _sample_block(self, rng, size, out, work=None) -> np.ndarray:
         """``sample(rng, size)``.  Models that can draw in place override
         this to write into ``out`` when one is given, and sample through it."""
         return self.sample(rng, size)
@@ -121,8 +110,7 @@ class Gaussian(NoiseModel):
     variance_: float = 1.0
 
     def __post_init__(self):
-        if not self.variance_ > 0.0:
-            raise DomainError(f"Gaussian variance must be > 0, got {self.variance_}")
+        _require_positive("Gaussian variance", self.variance_)
 
     def cf(self, omega):
         return np.exp(-0.5 * self.variance_ * np.square(omega))
@@ -136,7 +124,7 @@ class Gaussian(NoiseModel):
     def sample(self, rng, size=None, sensor_index=1):
         return self._sample_block(rng, size, None)
 
-    def _sample_block(self, rng, size, out):
+    def _sample_block(self, rng, size, out, work=None):
         draw = rng.standard_normal(size, out=out)
         draw *= math.sqrt(self.variance_)
         return draw
@@ -149,8 +137,7 @@ class Laplace(NoiseModel):
     variance_: float = 1.0
 
     def __post_init__(self):
-        if not self.variance_ > 0.0:
-            raise DomainError(f"Laplace variance must be > 0, got {self.variance_}")
+        _require_positive("Laplace variance", self.variance_)
 
     @property
     def scale(self) -> float:
@@ -176,8 +163,7 @@ class Cauchy(NoiseModel):
     scale: float = 1.0
 
     def __post_init__(self):
-        if not self.scale > 0.0:
-            raise DomainError(f"Cauchy scale must be > 0, got {self.scale}")
+        _require_positive("Cauchy scale", self.scale)
 
     def cf(self, omega):
         return np.exp(-self.scale * np.abs(omega))
@@ -185,7 +171,7 @@ class Cauchy(NoiseModel):
     def sample(self, rng, size=None, sensor_index=1):
         return self._sample_block(rng, size, None)
 
-    def _sample_block(self, rng, size, out):
+    def _sample_block(self, rng, size, out, work=None):
         # Inversion: gamma * tan(pi (U - 1/2)).
         draw = rng.random(size, out=out)
         draw -= 0.5
@@ -202,8 +188,7 @@ class Uniform(NoiseModel):
     variance_: float = 1.0
 
     def __post_init__(self):
-        if not self.variance_ > 0.0:
-            raise DomainError(f"Uniform variance must be > 0, got {self.variance_}")
+        _require_positive("Uniform variance", self.variance_)
 
     @property
     def half_width(self) -> float:
@@ -226,13 +211,58 @@ class Uniform(NoiseModel):
     def sample(self, rng, size=None, sensor_index=1):
         return self._sample_block(rng, size, None)
 
-    def _sample_block(self, rng, size, out):
+    def _sample_block(self, rng, size, out, work=None):
         # rng.uniform(-a, a)'s own order: low + (high - low) * u
         a = self.half_width
         draw = rng.random(size, out=out)
         draw *= 2.0 * a
         draw += -a
         return draw
+
+
+#: Equal-width bins of [0, 1) in the Class-A uniform -> scale lookup.
+_CDF_BINS = 4096
+
+
+@functools.lru_cache(maxsize=64)
+def _class_a_tables(overlap: float, background_ratio: float, variance: float):
+    """Read-only Class-A sampling tables, shared by threads.
+
+    ``thresholds`` are the Poisson CDF values the sequential inversion
+    search compares a uniform u against: its count is
+    ``searchsorted(thresholds, u, side="right")``, capped where float64
+    tail mass runs out.  ``scales[k]`` is sqrt(X) for count k.
+    ``bin_scales[b]`` is the scale of every u in [b, b+1)/_CDF_BINS, or NaN
+    when a threshold splits that bin.
+    """
+    pmf = math.exp(-overlap)
+    if pmf < sys.float_info.min:
+        # the CDF would start subnormal or at 0: the counts are garbage, and
+        # at exp(-overlap) == 0 the search never ends
+        raise DomainError(
+            f"Class-A sampling needs exp(-overlap) >= {sys.float_info.min:g} "
+            f"(overlap <= {-math.log(sys.float_info.min):.1f}), got overlap {overlap}"
+        )
+    cdf = [pmf]
+    k = 0
+    while True:
+        k += 1
+        pmf *= overlap / k
+        if pmf < 1e-320 and k > overlap:  # tail mass exhausted in float64
+            break
+        cdf.append(cdf[-1] + pmf)
+    thresholds = np.array(cdf)
+    big_t = background_ratio
+    counts = np.arange(len(cdf) + 1)
+    x = variance * (counts / (overlap * (big_t + 1.0)) + big_t / (big_t + 1.0))
+    scales = np.sqrt(x)
+    edges = np.arange(_CDF_BINS + 1) / _CDF_BINS
+    low = np.searchsorted(thresholds, edges[:-1], side="right")
+    high = np.searchsorted(thresholds, edges[1:], side="left")
+    bin_scales = np.where(low == high, scales[low], np.nan)
+    for table in (thresholds, scales, bin_scales):
+        table.flags.writeable = False
+    return thresholds, scales, bin_scales
 
 
 @dataclass(frozen=True)
@@ -249,14 +279,13 @@ class ClassA(NoiseModel):
     variance_: float = 1.0
 
     def __post_init__(self):
-        if not self.overlap > 0.0:
-            raise DomainError(f"Class-A overlap must be > 0, got {self.overlap}")
-        if not self.background_ratio >= 0.0:
+        _require_positive("Class-A overlap", self.overlap)
+        if not (math.isfinite(self.background_ratio) and self.background_ratio >= 0.0):
             raise DomainError(
-                f"Class-A background ratio must be >= 0, got {self.background_ratio}"
+                "Class-A background ratio must be finite and >= 0, got "
+                f"{self.background_ratio}"
             )
-        if not self.variance_ > 0.0:
-            raise DomainError(f"Class-A variance must be > 0, got {self.variance_}")
+        _require_positive("Class-A variance", self.variance_)
 
     def cf(self, omega):
         t = -0.5 * np.square(np.asarray(omega, dtype=float))
@@ -271,13 +300,28 @@ class ClassA(NoiseModel):
         return 3.0 / (self.overlap * (self.background_ratio + 1.0) ** 2)
 
     def sample(self, rng, size=None, sensor_index=1):
-        y = _poisson_inversion(rng, self.overlap, size)
-        big_t = self.background_ratio
-        x = self.variance_ * (
-            y / (self.overlap * (big_t + 1.0)) + big_t / (big_t + 1.0)
-        )
-        draws = np.sqrt(x) * rng.standard_normal(np.shape(y))
+        draws = self._sample_block(rng, 1 if size is None else size, None)
         return float(draws[0]) if size is None else draws
+
+    def _sample_block(self, rng, size, out, work=None):
+        # sqrt(X) * G: all of the chunk's uniforms pick their Poisson counts
+        # by CDF inversion, then all of its normals are drawn.
+        thresholds, scales, bin_scales = _class_a_tables(
+            self.overlap, self.background_ratio, self.variance_
+        )
+        u = rng.random(size, out=out)
+        if work is None:
+            work = (np.empty(u.shape), np.empty(u.shape))
+        bins, scale = work[0].view(np.intp), work[1]
+        np.multiply(u, _CDF_BINS, out=bins, casting="unsafe")  # floor, u >= 0
+        np.take(bin_scales, bins, out=scale, mode="clip")
+        # Bins that straddle a CDF threshold hold NaN: search those exactly.
+        straddling = np.flatnonzero(np.isnan(scale))
+        counts = np.searchsorted(thresholds, u.flat[straddling], side="right")
+        scale.flat[straddling] = scales[counts]
+        draws = rng.standard_normal(size, out=u)
+        draws *= scale
+        return draws
 
 
 @dataclass(frozen=True)
@@ -285,6 +329,9 @@ class BoundedScales:
     """Per-sensor scales sigma_i = sigma_max * (1 - 1/(i+1)); bounded above."""
 
     sigma_max: float = 1.0
+
+    def __post_init__(self):
+        _require_positive("bounded scale rule sigma_max", self.sigma_max)
 
     def __call__(self, sensor_index):
         i = np.asarray(sensor_index, dtype=float)
@@ -296,6 +343,9 @@ class LinearGrowthScales:
     """Per-sensor scales sigma_i = sigma * sqrt(i); variances grow linearly."""
 
     sigma: float = 1.0
+
+    def __post_init__(self):
+        _require_positive("linear-growth scale rule sigma", self.sigma)
 
     def __call__(self, sensor_index):
         return self.sigma * np.sqrt(np.asarray(sensor_index, dtype=float))
@@ -326,11 +376,11 @@ class HeterogeneousScaled(NoiseModel):
     def sample(self, rng, size=None, sensor_index=1):
         return float(self.scale_rule(sensor_index)) * self.base.sample(rng, size)
 
-    def sample_sensors(self, rng, n_trials, n_sensors, out=None):
+    def sample_sensors(self, rng, n_trials, n_sensors, out=None, work=None):
         scales = _sensor_scales(self.scale_rule, n_sensors)
         # Through the base's sampler, not its sample_sensors: one noise
         # matrix is one sampling call.
-        draw = self.base._sample_block(rng, (n_trials, n_sensors), out)
+        draw = self.base._sample_block(rng, (n_trials, n_sensors), out, work)
         draw *= scales
         return draw
 

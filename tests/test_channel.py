@@ -20,7 +20,16 @@ from cmest.channel import (
 )
 from cmest.errors import ConfigError
 from cmest.estimators import cm_estimates
-from cmest.noise import Cauchy, Gaussian, Laplace, NoiseModel, Uniform
+from cmest.noise import (
+    BoundedScales,
+    Cauchy,
+    ClassA,
+    Gaussian,
+    HeterogeneousScaled,
+    Laplace,
+    NoiseModel,
+    Uniform,
+)
 from cmest.specfun import ricean_fading_penalty
 
 
@@ -194,7 +203,8 @@ def _reference_cm_batch(config, n_trials, rng):
 
 def _reference_faded_cm_batch(config, n_trials, rng):
     """Float64 kernel over the streaming kernel's row chunks, each drawing
-    its noise, then its gains, through the allocating samplers."""
+    its noise, then its gains (none without fading), through the allocating
+    samplers."""
     L = config.n_sensors
     y = np.empty(n_trials, dtype=complex)
     for chunk in _row_chunks(n_trials, L):
@@ -238,6 +248,25 @@ class TestStreamingKernel:
         cfg = _config(fading=fading)
         y = cm_snapshot_batch(cfg, 1000, np.random.default_rng(7))
         y_ref = _reference_faded_cm_batch(cfg, 1000, np.random.default_rng(7))
+        est = cm_estimates(y, cfg.n_sensors, cfg.omega, cfg.power)
+        est_ref = cm_estimates(y_ref, cfg.n_sensors, cfg.omega, cfg.power)
+        assert np.max(np.abs(est - est_ref)) <= 1e-5 * np.std(est_ref)
+
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            ClassA(0.1, 0.1, 1.0),
+            ClassA(5.0, 0.0, 2.0),
+            HeterogeneousScaled(ClassA(0.5, 0.1, 1.0), BoundedScales(1.0)),
+        ],
+    )
+    def test_class_a_cm_matches_chunked_reference(self, noise):
+        # Class-A draws its bin indices and scales into the kernel's cosine
+        # and Newton-scale work arrays: a chunk that read them after the
+        # sampler, or a sampler writing where the kernel keeps values, fails
+        cfg = _config(noise=noise)
+        y = cm_snapshot_batch(cfg, 1000, np.random.default_rng(9))
+        y_ref = _reference_faded_cm_batch(cfg, 1000, np.random.default_rng(9))
         est = cm_estimates(y, cfg.n_sensors, cfg.omega, cfg.power)
         est_ref = cm_estimates(y_ref, cfg.n_sensors, cfg.omega, cfg.power)
         assert np.max(np.abs(est - est_ref)) <= 1e-5 * np.std(est_ref)

@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cmest
 from cmest import presets
@@ -17,6 +19,24 @@ def _write_config(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def _hetero_noise(rule, key, value):
+    return {
+        "kind": "heterogeneous",
+        "base": {"kind": "gaussian", "variance": 1.0},
+        "rule": {"kind": rule, key: value},
+    }
+
+
+def _run_cli(*argv, timeout):
+    """``cli.main(argv)`` in a fresh interpreter: a hang fails, after ``timeout`` s."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cmest.__file__).parents[1]))
+    code = "import sys; from cmest.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
 
 
 def _tiny_spec_dict(**overrides):
@@ -184,6 +204,8 @@ class TestErrorPaths:
             (("network", "noise"), {"kind": "cauchy", "scale": math.inf}),
             (("network", "fading"), {"kind": "ricean", "k_factor": math.nan}),
             (("network", "theta"), True),
+            (("network", "noise"), _hetero_noise("linear-growth", "sigma", -1.0)),
+            (("network", "noise"), _hetero_noise("bounded", "sigma_max", 0.0)),
         ],
     )
     def test_malformed_values_are_config_errors(self, tmp_path, capsys, path, value):
@@ -223,6 +245,18 @@ class TestErrorPaths:
         cfg = _write_config(tmp_path, _tiny_spec_dict(trials=4))
         assert main(["simulate", "--config", cfg, "--threads", threads]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    def test_class_a_overlap_beyond_float64_is_numeric_error(self, tmp_path):
+        # exp(-overlap) underflows to 0: the Poisson inversion used to hang
+        d = _tiny_spec_dict(trials=2)
+        d["network"]["n_sensors"] = 20
+        d["network"]["noise"] = {
+            "kind": "class-a", "overlap": 1e300, "background_ratio": 0.1, "variance": 1.0
+        }
+        done = _run_cli("simulate", "--config", _write_config(tmp_path, d), timeout=60)
+        assert done.returncode == 3
+        assert done.stderr.startswith("numeric error: DomainError")
+        assert "overlap <= 708.4" in done.stderr
 
     def test_unknown_noise_kind(self, tmp_path):
         d = _tiny_spec_dict()
@@ -445,3 +479,53 @@ def test_cli_import_leaves_scipy_out():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+_FUZZ_NUMBER = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -1.0, 1e-300, 1e300, 708.0, 709.0, math.inf, -math.inf, math.nan]),
+)
+_NOISE_FIELDS = {
+    "gaussian": ("variance",),
+    "laplace": ("variance",),
+    "cauchy": ("scale",),
+    "uniform": ("variance",),
+    "class-a": ("overlap", "background_ratio", "variance"),
+}
+_FUZZ_BASE_NOISE = st.sampled_from(sorted(_NOISE_FIELDS)).flatmap(
+    lambda kind: st.fixed_dictionaries(
+        {"kind": st.just(kind), **{f: _FUZZ_NUMBER for f in _NOISE_FIELDS[kind]}}
+    )
+)
+_FUZZ_NOISE = st.one_of(
+    _FUZZ_BASE_NOISE,
+    st.fixed_dictionaries(
+        {
+            "kind": st.just("heterogeneous"),
+            "base": _FUZZ_BASE_NOISE,
+            "rule": st.one_of(
+                st.fixed_dictionaries(
+                    {"kind": st.just("bounded"), "sigma_max": _FUZZ_NUMBER}
+                ),
+                st.fixed_dictionaries(
+                    {"kind": st.just("linear-growth"), "sigma": _FUZZ_NUMBER}
+                ),
+            ),
+        }
+    ),
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(noise=_FUZZ_NOISE)
+def test_fuzzed_noise_configs_keep_the_exit_contract(tmp_path_factory, noise):
+    # any noise parameters either run, are rejected as a config error, or
+    # fail as a numeric error: no traceback, no hang
+    d = _tiny_spec_dict(trials=2, sweep={"parameter": "omega", "values": [0.5]})
+    d["network"]["n_sensors"] = 8
+    d["network"]["noise"] = noise
+    tmp = tmp_path_factory.mktemp("fuzz")
+    cfg = _write_config(tmp, d)
+    code = main(["simulate", "--config", cfg, "--out", str(tmp / "out.csv")])
+    assert code in (0, 2, 3)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,14 +196,15 @@ class TestSamplers:
 
     @pytest.mark.parametrize("model", ALL_IID_MODELS)
     def test_buffered_sensor_draw_equals_sample(self, model):
-        # Gaussian, Cauchy and uniform write into the caller's buffer; every
-        # model returns the values of one allocating draw, bit for bit
+        # Gaussian, Cauchy, uniform and Class-A write into the caller's
+        # buffer; every model returns the values of one allocating draw, bit
+        # for bit
         buf = np.empty((8, 300))
         drawn = model.sample_sensors(np.random.default_rng(21), 5, 300, out=buf[:5])
         np.testing.assert_array_equal(
             drawn, model.sample(np.random.default_rng(21), (5, 300))
         )
-        in_place = isinstance(model, (Gaussian, Cauchy, Uniform))
+        in_place = isinstance(model, (Gaussian, Cauchy, Uniform, ClassA))
         assert np.shares_memory(drawn, buf) == in_place
 
     @pytest.mark.parametrize(
@@ -230,6 +232,81 @@ class TestSamplers:
         a = model.sample(np.random.default_rng(99), 1000)
         b = model.sample(np.random.default_rng(99), 1000)
         np.testing.assert_array_equal(a, b)
+
+
+def _poisson_inversion(rng, lam, size):
+    """Poisson draws by CDF inversion with sequential search, one uniform each."""
+    u = rng.random(1 if size is None else size)
+    out = np.zeros(np.shape(u), dtype=np.int64)
+    pmf = math.exp(-lam)
+    cdf = pmf
+    k = 0
+    remaining = u >= cdf
+    while remaining.any():
+        k += 1
+        pmf *= lam / k
+        cdf += pmf
+        out[remaining] = k
+        remaining &= u >= cdf
+        if pmf < 1e-320 and k > lam:  # tail mass exhausted in float64
+            break
+    return out
+
+
+def _textbook_class_a(model, rng, size):
+    """sqrt(X) * G with X = variance * (Y / (A (T+1)) + T/(T+1)), Y ~ Poisson(A)."""
+    y = _poisson_inversion(rng, model.overlap, size)
+    big_t = model.background_ratio
+    x = model.variance_ * (y / (model.overlap * (big_t + 1.0)) + big_t / (big_t + 1.0))
+    draws = np.sqrt(x) * rng.standard_normal(np.shape(y))
+    return float(draws[0]) if size is None else draws
+
+
+class TestClassASampler:
+    @pytest.mark.parametrize("overlap", [0.05, 1.0, 5.0, 50.0])
+    @pytest.mark.parametrize("background", [0.0, 0.1])
+    @pytest.mark.parametrize("size", [None, 9, (4, 300), (65, 500)])
+    def test_same_bits_as_sequential_inversion(self, overlap, background, size):
+        model = ClassA(overlap, background, 1.7)
+        expected = _textbook_class_a(model, np.random.default_rng(3), size)
+        np.testing.assert_array_equal(model.sample(np.random.default_rng(3), size), expected)
+        if isinstance(size, tuple):
+            out, w1, w2 = (np.full(size, np.nan) for _ in range(3))
+            drawn = model.sample_sensors(
+                np.random.default_rng(3), *size, out=out, work=(w1, w2)
+            )
+            np.testing.assert_array_equal(drawn, expected)
+        if size == (65, 500):
+            # some uniforms fall in bins a CDF threshold splits: the exact
+            # search is exercised, not only the bin lookup
+            u = np.random.default_rng(3).random(size)
+            bin_scales = noise._class_a_tables(overlap, background, 1.7)[2]
+            assert np.isnan(bin_scales[(u * noise._CDF_BINS).astype(int)]).any()
+
+    @pytest.mark.parametrize("overlap", [709.0, 1000.0, 1e300])
+    def test_overlap_beyond_float64_fails_closed(self, overlap):
+        # exp(-overlap) is subnormal or 0: the inversion would return one
+        # count for every draw, or never stop
+        with pytest.raises(DomainError, match="overlap"):
+            ClassA(overlap, 0.1, 1.0).sample(np.random.default_rng(1), 4)
+
+    def test_largest_overlap_still_samples(self):
+        drawn = ClassA(708.0, 0.1, 1.0).sample(np.random.default_rng(1), (4, 300))
+        assert np.all(np.isfinite(drawn))
+
+    def test_no_chunk_sized_allocation_with_work(self):
+        model = ClassA(0.1, 0.1, 1.0)
+        out, w1, w2 = (np.empty((65, 500)) for _ in range(3))
+        model.sample_sensors(np.random.default_rng(1), 65, 500, out=out, work=(w1, w2))
+        tracemalloc.start()
+        try:
+            model.sample_sensors(
+                np.random.default_rng(2), 65, 500, out=out, work=(w1, w2)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes
 
 
 class TestHeterogeneous:
@@ -331,3 +408,28 @@ class TestConstruction:
     def test_invalid_parameters(self, bad):
         with pytest.raises(DomainError):
             bad()
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            Gaussian,
+            Laplace,
+            Cauchy,
+            Uniform,
+            lambda v: ClassA(overlap=v),
+            lambda v: ClassA(background_ratio=v),
+            lambda v: ClassA(variance_=v),
+            BoundedScales,
+            LinearGrowthScales,
+        ],
+    )
+    def test_non_finite_parameters(self, make, value):
+        with pytest.raises(DomainError, match="finite"):
+            make(value)
+
+    @pytest.mark.parametrize("make", [BoundedScales, LinearGrowthScales])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_scale_rule_sigma_must_be_positive(self, make, value):
+        with pytest.raises(DomainError):
+            make(value)
