@@ -248,6 +248,17 @@ def _run_experiment_command(args, allowed_kinds) -> int:
             "value and a variance estimate\n"
         )
         return _EXIT_CHECK
+    empty = [
+        key for key, result in all_tracks.items()
+        if any(rec.n_trials == 0 for rec in result.records)
+    ]
+    if empty:
+        # a point whose every trial overflowed or degenerated has no result
+        sys.stderr.write(
+            "numeric error: no finite estimate at some sweep point of "
+            f"{', '.join(empty)}\n"
+        )
+        return _EXIT_NUMERIC
     return _EXIT_OK
 
 

@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import asv
+from . import asv, specfun
 from .channel import (
     NetworkConfig,
     NoFading,
@@ -382,18 +382,39 @@ def _af_finish(spec: ExperimentSpec, tracks: Dict[str, _Track]) -> None:
     af = tracks["af"].result
     af.metadata["af_nominal_variance"] = _resolve_af_nominal_variance(spec)
     af.metadata["af_power_calibrated_with_true_theta"] = True
-    if spec.sweep.parameter == "n_sensors" and len(af.records) >= 3:
-        from scipy import stats  # imported here only: it dominates cold start
-
-        fit = stats.linregress(
-            [r.sweep_value for r in af.records],
-            [r.normalized_variance for r in af.records],
+    sizes = [r.sweep_value for r in af.records]
+    if spec.sweep.parameter == "n_sensors" and len(sizes) >= 3 and len(set(sizes)) > 1:
+        slope, stderr, pvalue = _linear_fit(
+            sizes, [r.normalized_variance for r in af.records]
         )
         af.metadata["flatness_regression"] = {
-            "slope": float(fit.slope),
-            "stderr": float(fit.stderr),
-            "pvalue": float(fit.pvalue),
+            "slope": slope,
+            "stderr": stderr,
+            "pvalue": pvalue,
         }
+
+
+def _linear_fit(x: Sequence[float], y: Sequence[float]) -> Tuple[float, float, float]:
+    """Least-squares slope of y on x, its standard error, and the two-sided
+    p-value of a zero slope (t test on len(x) - 2 degrees of freedom).
+
+    Needs at least three points and two distinct x.  The arithmetic is that
+    of ``scipy.stats.linregress``, so slope and standard error keep its bits.
+    """
+    tiny = 1.0e-20  # keeps t finite at |r| = 1
+    df = len(x) - 2
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = math.nan if ssxym == 0 else 0.0
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    t = r * np.sqrt(df / ((1.0 - r + tiny) * (1.0 + r + tiny)))
+    stderr = np.sqrt((1 - r ** 2) * ssym / ssxm / df)
+    return (
+        float(ssxym / ssxm),
+        float(stderr),
+        specfun.student_t_two_sided_sf(float(t), df),
+    )
 
 
 def _robustness_plans(spec: ExperimentSpec) -> List[TrackPlan]:
@@ -427,13 +448,29 @@ def _robustness_finish(spec: ExperimentSpec, tracks: Dict[str, _Track]) -> None:
         "raw variance recorded but non-convergent when the sensing "
         "noise has no finite moments"
     )
-    from scipy import stats  # imported here only: it dominates cold start
+    statistic, pvalue = _ks_two_sample(errors[0], errors[-1])
+    meta["ks_af_smallest_vs_largest"] = {"statistic": statistic, "pvalue": pvalue}
 
-    ks = stats.ks_2samp(errors[0], errors[-1])
-    meta["ks_af_smallest_vs_largest"] = {
-        "statistic": float(ks.statistic),
-        "pvalue": float(ks.pvalue),
-    }
+
+def _ks_two_sample(a: np.ndarray, b: np.ndarray) -> Tuple[float, float]:
+    """Two-sided two-sample Kolmogorov-Smirnov statistic and exact p-value.
+
+    The statistic is the largest gap between the two empirical CDFs, taken
+    as an integer count of steps h and reported as h / lcm(len(a), len(b)),
+    as ``scipy.stats.ks_2samp`` reports it; ties are handled by evaluating
+    both CDFs at every sample point.  NaN for an empty sample.
+    """
+    n1, n2 = len(a), len(b)
+    if n1 == 0 or n2 == 0:
+        return math.nan, math.nan
+    a, b = np.sort(a), np.sort(b)
+    both = np.concatenate([a, b])
+    g = math.gcd(n1, n2)
+    gaps = np.searchsorted(a, both, side="right") * (n2 // g) - np.searchsorted(
+        b, both, side="right"
+    ) * (n1 // g)
+    h = int(np.max(np.abs(gaps)))
+    return h / (n1 // g * n2), specfun.ks_two_sample_sf(n1, n2, h)
 
 
 def _hetero_plans(spec: ExperimentSpec) -> List[TrackPlan]:

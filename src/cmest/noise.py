@@ -189,6 +189,11 @@ class Uniform(NoiseModel):
 
     def __post_init__(self):
         _require_positive("Uniform variance", self.variance_)
+        if not math.isfinite(self.half_width):  # 3 * variance overflows
+            raise DomainError(
+                f"Uniform variance {self.variance_} puts the half-width "
+                "sqrt(3 * variance) beyond float64"
+            )
 
     @property
     def half_width(self) -> float:
@@ -224,6 +229,17 @@ class Uniform(NoiseModel):
 _CDF_BINS = 4096
 
 
+def _require_finite_scale(variance: float) -> None:
+    """Class-A variances per impulse count must be float64 numbers: past
+    that, the draws and the characteristic function compute through an
+    overflow."""
+    if not math.isfinite(variance):
+        raise DomainError(
+            "Class-A impulsive variance overflows float64: variance / "
+            "(overlap * (background_ratio + 1)) per impulse must stay finite"
+        )
+
+
 @functools.lru_cache(maxsize=64)
 def _class_a_tables(overlap: float, background_ratio: float, variance: float):
     """Read-only Class-A sampling tables, shared by threads.
@@ -253,6 +269,11 @@ def _class_a_tables(overlap: float, background_ratio: float, variance: float):
         cdf.append(cdf[-1] + pmf)
     thresholds = np.array(cdf)
     big_t = background_ratio
+    # the largest count's variance, in the table's own arithmetic: checked
+    # before numpy computes the table so an overflow fails closed, unwarned
+    _require_finite_scale(
+        variance * (len(cdf) / (overlap * (big_t + 1.0)) + big_t / (big_t + 1.0))
+    )
     counts = np.arange(len(cdf) + 1)
     x = variance * (counts / (overlap * (big_t + 1.0)) + big_t / (big_t + 1.0))
     scales = np.sqrt(x)
@@ -286,6 +307,9 @@ class ClassA(NoiseModel):
                 f"{self.background_ratio}"
             )
         _require_positive("Class-A variance", self.variance_)
+        _require_finite_scale(
+            self.variance_ / (self.overlap * (self.background_ratio + 1.0))
+        )
 
     def cf(self, omega):
         t = -0.5 * np.square(np.asarray(omega, dtype=float))

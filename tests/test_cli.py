@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cmest
-from cmest import presets
+from cmest import asv, presets
 from cmest.cli import main
-from cmest.harness import CSV_HEADER, run_kind, spec_to_dict
+from cmest.harness import CSV_HEADER, noise_from_dict, run_kind, spec_to_dict
+from cmest.noise import HeterogeneousScaled
 
 
 def _write_config(tmp_path, payload, name="cfg.json"):
@@ -258,6 +261,39 @@ class TestErrorPaths:
         assert done.stderr.startswith("numeric error: DomainError")
         assert "overlap <= 708.4" in done.stderr
 
+    @pytest.mark.parametrize(
+        "noise, message",
+        [
+            # sqrt(3 * variance) overflows: every draw was NaN, and exit 0
+            ({"kind": "uniform", "variance": 1e308}, "half-width"),
+            # variance / overlap overflows: a NaN theory value, and exit 0
+            (
+                {"kind": "class-a", "overlap": 1e-300, "background_ratio": 0.1,
+                 "variance": 1e300},
+                "overflows float64",
+            ),
+        ],
+    )
+    def test_noise_beyond_float64_is_config_error(
+        self, tmp_path, capsys, noise, message
+    ):
+        d = _tiny_spec_dict(trials=2)
+        d["network"]["noise"] = noise
+        assert main(["simulate", "--config", _write_config(tmp_path, d)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_point_without_a_finite_trial_is_numeric_error(self, tmp_path, capsys):
+        # at scale 1e305 every trial of 50000 sensors has an overflowing draw
+        d = _tiny_spec_dict(sweep={"parameter": "omega", "values": [0.5]}, trials=4)
+        d["network"]["n_sensors"] = 50_000
+        d["network"]["noise"] = {"kind": "cauchy", "scale": 1e305}
+        out = tmp_path / "r.csv"
+        cfg = _write_config(tmp_path, d)
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+        assert "no finite estimate" in capsys.readouterr().err
+        assert out.read_text().split("\n")[1].split(",")[1] == "0"  # still written
+
     def test_unknown_noise_kind(self, tmp_path):
         d = _tiny_spec_dict()
         d["network"]["noise"] = {"kind": "pareto"}
@@ -481,6 +517,47 @@ def test_cli_import_leaves_scipy_out():
     assert out.stdout.strip() == "False"
 
 
+# A runtime path needs no scipy: with every scipy import refused, fig9's
+# size sweep (the flatness regression) and fig10 (the KS test) still run.
+_NO_SCIPY_RUN = """
+import sys
+from dataclasses import replace
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} refused")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+sys.modules.pop("scipy", None)
+from cmest import harness, presets
+
+for label, spec in presets.preset("fig9") + presets.preset("fig10"):
+    if spec.sweep.parameter != "n_sensors":
+        continue
+    tracks = harness.run_kind(replace(spec, trials=20), threads=2)
+    for result in tracks.values():
+        harness.render(result, "csv")
+        harness.render(result, "json")
+    meta = {k: v for t in tracks.values() for k, v in t.metadata.items()}
+    assert "flatness_regression" in meta or "ks_af_smallest_vs_largest" in meta
+    print(label)
+"""
+
+
+def test_figure_runs_need_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(cmest.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_RUN],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["size-sweep", "cauchy"]
+
+
 _FUZZ_NUMBER = st.one_of(
     st.floats(),
     st.sampled_from([0.0, -1.0, 1e-300, 1e300, 708.0, 709.0, math.inf, -math.inf, math.nan]),
@@ -529,3 +606,105 @@ def test_fuzzed_noise_configs_keep_the_exit_contract(tmp_path_factory, noise):
     cfg = _write_config(tmp, d)
     code = main(["simulate", "--config", cfg, "--out", str(tmp / "out.csv")])
     assert code in (0, 2, 3)
+    if code == 0:
+        # a run that succeeds has a result: a finite trial, and a theory
+        # value unless the model has none (no single characteristic
+        # function, or one that vanishes at omega)
+        row = (tmp / "out.csv").read_text().split("\n")[1].split(",")
+        assert int(row[1]) >= 1
+        model = noise_from_dict(noise)
+        if not (
+            isinstance(model, HeterogeneousScaled)
+            or abs(model.cf(0.5)) <= asv.CF_ZERO_TOL
+        ):
+            assert math.isfinite(float(row[4]))
+
+
+_FUZZ_NETWORK_NUMBER = st.one_of(
+    _FUZZ_NUMBER, st.floats(1e-3, 0.5), st.floats(0.5, 20.0)
+)
+_FUZZ_SMALL_INTEGER = st.one_of(
+    st.integers(-2, 12),
+    st.sampled_from([2.0, 2.5, True, "8", None, math.nan, math.inf]),
+)
+_FUZZ_POWER = st.one_of(
+    st.fixed_dictionaries({"mode": st.just("total"), "p_t": _FUZZ_NETWORK_NUMBER}),
+    st.fixed_dictionaries({"mode": st.just("per-sensor"), "rho": _FUZZ_NETWORK_NUMBER}),
+    st.fixed_dictionaries({"mode": st.sampled_from(["total", "per-sensor", "both"])}),
+    st.sampled_from([None, "total", 10.0]),
+)
+_FUZZ_FADING = st.one_of(
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["none", "rayleigh", "ricean", "lognormal"])}
+    ),
+    st.fixed_dictionaries({"kind": st.just("ricean"), "k_factor": _FUZZ_NETWORK_NUMBER}),
+    st.sampled_from([None, "rayleigh", []]),
+)
+_FUZZ_SWEEP = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "parameter": st.sampled_from(["omega", "theta"]),
+            "values": st.lists(_FUZZ_NETWORK_NUMBER, max_size=3),
+        }
+    ),
+    # n_sensors values stay tiny: a valid L is a real run
+    st.fixed_dictionaries(
+        {
+            "parameter": st.just("n_sensors"),
+            "values": st.lists(_FUZZ_SMALL_INTEGER, max_size=4),
+        }
+    ),
+    st.fixed_dictionaries(
+        {"parameter": st.sampled_from(["L", 3, None]), "values": st.just([1.0])}
+    ),
+    st.sampled_from([None, [0.5], {"parameter": "omega"}]),
+)
+_FUZZ_NETWORK = {
+    "n_sensors": _FUZZ_SMALL_INTEGER,
+    "theta": _FUZZ_NETWORK_NUMBER,
+    "theta_range": _FUZZ_NETWORK_NUMBER,
+    "omega": _FUZZ_NETWORK_NUMBER,
+    "channel_noise_variance": _FUZZ_NETWORK_NUMBER,
+    "power": _FUZZ_POWER,
+    "fading": _FUZZ_FADING,
+}
+_FUZZ_COMMANDS = {
+    "asv-vs-omega": ("simulate", {"parameter": "omega", "values": [0.3, 0.5]}),
+    "var-vs-L": ("simulate", {"parameter": "n_sensors", "values": [4, 8]}),
+    "af-compare": ("compare-af", {"parameter": "n_sensors", "values": [4, 8, 12]}),
+    "fading-compare": ("fading", {"parameter": "theta", "values": [1.0, 3.0]}),
+    "cauchy-robustness": ("robustness", {"parameter": "n_sensors", "values": [4, 8]}),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_FUZZ_COMMANDS)),
+    check=st.booleans(),
+    keys=st.lists(st.sampled_from([*_FUZZ_NETWORK, "sweep"]), max_size=2, unique=True),
+    data=st.data(),
+)
+def test_fuzzed_network_configs_keep_the_exit_contract(
+    tmp_path_factory, kind, check, keys, data
+):
+    # one or two network, sweep, fading or power keys of a valid config are
+    # fuzzed: the run succeeds, is rejected as a config error, fails as a
+    # numeric error or fails the check, with no traceback
+    name, sweep = _FUZZ_COMMANDS[kind]
+    d = _tiny_spec_dict(kind=kind, trials=3, sweep=sweep)
+    d["network"]["n_sensors"] = 8
+    if kind == "fading-compare":
+        d["network"]["fading"] = {"kind": "rayleigh"}
+    for key in keys:
+        if key == "sweep":
+            d["sweep"] = data.draw(_FUZZ_SWEEP, label="sweep")
+        else:
+            d["network"][key] = data.draw(_FUZZ_NETWORK[key], label=key)
+    tmp = tmp_path_factory.mktemp("fuzz")
+    argv = [name, "--config", _write_config(tmp, d), "--out", str(tmp / "out.csv")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv + ["--check"] if check else argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from cmest import asv, harness
 from cmest.channel import (
@@ -397,6 +398,15 @@ class TestAfCompare:
         reg = tracks["af"].metadata["flatness_regression"]
         assert abs(reg["slope"]) <= 4.0 * reg["stderr"]
 
+    def test_no_flatness_regression_on_one_size(self):
+        # three points at one L have no slope to fit
+        spec = _spec(
+            kind="af-compare",
+            sweep=Sweep("n_sensors", (50.0, 50.0, 50.0)),
+            trials=20,
+        )
+        assert "flatness_regression" not in run_kind(spec)["af"].metadata
+
     def test_infinite_variance_needs_explicit_nominal(self):
         spec = _spec(
             kind="af-compare",
@@ -682,3 +692,60 @@ class TestCheck:
         assert check_against_analytic(result, tolerance=0.5) == []
         assert compared_points(result) == 0
 
+
+
+class TestFigureStatistics:
+    """The flatness regression and KS test against scipy.stats, a test-only
+    reference: equal bits where the arithmetic is shared."""
+
+    def test_linear_fit_keeps_linregress_bits(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(300):
+            n = int(rng.integers(3, 13))
+            x = rng.choice(np.arange(10.0, 10_000.0), n, replace=False)
+            y = rng.normal(1.0, 0.05, n) + rng.normal() * 1e-5 * x
+            ref = stats.linregress(x, y)
+            slope, stderr, pvalue = harness._linear_fit(list(x), list(y))
+            assert (slope, stderr) == (float(ref.slope), float(ref.stderr))
+            assert pvalue == pytest.approx(float(ref.pvalue), rel=1e-12)
+
+    def test_linear_fit_exact_and_flat_lines(self):
+        x = [1.0, 2.0, 4.0, 8.0]
+        ref = stats.linregress(x, [3.0, 5.0, 9.0, 17.0])
+        slope, stderr, pvalue = harness._linear_fit(x, [3.0, 5.0, 9.0, 17.0])
+        assert (slope, stderr) == (float(ref.slope), float(ref.stderr))
+        assert pvalue == pytest.approx(float(ref.pvalue), rel=1e-12, abs=1e-300)
+        slope, stderr, pvalue = harness._linear_fit(x, [2.0] * 4)  # r undefined
+        assert slope == 0.0 and math.isnan(stderr) and math.isnan(pvalue)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 10, 31, 100, 1000, 4096, 10_000])
+    def test_ks_keeps_ks_2samp_bits_at_equal_sizes(self, n):
+        rng = np.random.default_rng(n)
+        a, b = rng.standard_cauchy(n), rng.standard_cauchy(n)
+        cases = [
+            (a, b),
+            (a, b + 0.3),
+            (np.round(a), np.round(b)),  # ties within and across samples
+            (a, a[::-1].copy()),  # no gap at all: h == 0
+        ]
+        for x, y in cases:
+            ref = stats.ks_2samp(x, y)
+            got = harness._ks_two_sample(x, y)
+            assert got == (float(ref.statistic), float(ref.pvalue))
+
+    @pytest.mark.parametrize(
+        "n1, n2", [(5, 7), (10, 3), (30, 31), (200, 150), (1000, 999)]
+    )
+    def test_ks_unequal_sizes_count_paths_exactly(self, n1, n2):
+        # both sides are one minus the fraction of paths inside the band
+        rng = np.random.default_rng(n1 * n2)
+        for shift in (0.0, 0.5):
+            a, b = rng.standard_cauchy(n1), rng.standard_cauchy(n2) + shift
+            ref = stats.ks_2samp(a, b, method="exact")
+            statistic, pvalue = harness._ks_two_sample(a, b)
+            assert statistic == float(ref.statistic)
+            assert pvalue == pytest.approx(float(ref.pvalue), rel=1e-12, abs=2e-15)
+
+    def test_ks_empty_sample_is_nan(self):
+        statistic, pvalue = harness._ks_two_sample(np.array([]), np.array([1.0]))
+        assert math.isnan(statistic) and math.isnan(pvalue)

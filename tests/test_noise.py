@@ -433,3 +433,27 @@ class TestConstruction:
     def test_scale_rule_sigma_must_be_positive(self, make, value):
         with pytest.raises(DomainError):
             make(value)
+
+    def test_uniform_half_width_must_be_finite(self):
+        # 3 * variance overflows float64 past ~6e307: every draw would be NaN
+        with pytest.raises(DomainError, match="half-width"):
+            Uniform(1e308)
+        assert math.isfinite(Uniform(5e307).half_width)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_class_a_impulsive_variance_must_be_finite(self):
+        # variance / (overlap (T + 1)) = 1e600: fails closed, before any
+        # characteristic function or table computes through the overflow
+        with pytest.raises(DomainError, match="overflows"):
+            ClassA(overlap=1e-300, background_ratio=0.1, variance_=1e300)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "overlap, background, variance",
+        [(1.0, 0.0, 1e307), (1e-308, 0.0, 1e-10)],
+    )
+    def test_class_a_table_scales_must_be_finite(self, overlap, background, variance):
+        # one impulse fits float64 but the table's largest count does not
+        model = ClassA(overlap=overlap, background_ratio=background, variance_=variance)
+        with pytest.raises(DomainError, match="overflows"):
+            model.sample(np.random.default_rng(0), 4)

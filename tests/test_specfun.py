@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath as mp
@@ -7,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmest.errors import DomainError
-from cmest.specfun import hyp1f1, lambert_w0, ricean_fading_penalty
+from cmest.specfun import (
+    hyp1f1,
+    ks_two_sample_sf,
+    lambert_w0,
+    ricean_fading_penalty,
+    student_t_two_sided_sf,
+)
 
 # Frozen oracle: 200-term Kummer series at 50 decimal digits (stable against
 # doubling the term count).
@@ -125,3 +132,80 @@ class TestRiceanPenalty:
         vals = np.array([ricean_fading_penalty(k) for k in ks])
         assert np.all(np.diff(vals) <= 1e-12)
         assert np.all(vals >= 1.0 - 1e-12)
+
+
+def _t_tail_oracle(t, df):
+    """P(|T| >= t) = I_x(df/2, 1/2) at x = df/(df + t^2), at 40 digits."""
+    with mp.workdps(40):
+        t = mp.mpf(t)
+        x = df / (df + t * t)
+        return mp.betainc(mp.mpf(df) / 2, mp.mpf(1) / 2, 0, x, regularized=True)
+
+
+class TestStudentTTail:
+    @pytest.mark.parametrize("df", [1, 2, 3, 5, 10, 50, 200, 1000])
+    def test_against_incomplete_beta(self, df):
+        for t in np.logspace(-8, 6, 57):
+            ref = _t_tail_oracle(t, df)
+            got = student_t_two_sided_sf(t, df)
+            if ref < 1e-300:  # below float64's normal range: must underflow too
+                assert 0.0 <= got < 1e-290
+            else:
+                assert abs(got - ref) <= 1e-10 * ref, (t, df, got, float(ref))
+
+    def test_both_methods_agree_at_the_switch(self):
+        # the finite sum is left for the series once the tail drops below 0.1
+        for df in (4, 7, 1000):
+            for t in np.linspace(1.0, 2.5, 61):
+                ref = _t_tail_oracle(t, df)
+                got = student_t_two_sided_sf(t, df)
+                assert got == pytest.approx(float(ref), rel=1e-12)
+
+    def test_edge_values(self):
+        assert student_t_two_sided_sf(0.0, 3) == 1.0
+        assert student_t_two_sided_sf(math.inf, 3) == 0.0
+        assert math.isnan(student_t_two_sided_sf(math.nan, 3))
+        assert student_t_two_sided_sf(-2.5, 6) == student_t_two_sided_sf(2.5, 6)
+        assert student_t_two_sided_sf(1.0, 1) == pytest.approx(0.5, rel=1e-15)
+
+    @pytest.mark.parametrize("df", [0, -1, 2.5, 3.0, True])
+    def test_df_must_be_a_positive_integer(self, df):
+        with pytest.raises(DomainError):
+            student_t_two_sided_sf(1.0, df)
+
+
+def _ks_null_by_enumeration(n1, n2, h):
+    """P(D >= h/lcm) over all C(n1+n2, n1) equally likely interleavings."""
+    g = math.gcd(n1, n2)
+    hits = total = 0
+    for first in itertools.combinations(range(n1 + n2), n1):
+        first = set(first)
+        i = j = gap = 0
+        for pos in range(n1 + n2):
+            if pos in first:
+                i += 1
+            else:
+                j += 1
+            gap = max(gap, abs(i * (n2 // g) - j * (n1 // g)))
+        hits += gap >= h
+        total += 1
+    return hits / total
+
+
+class TestKsTwoSampleNull:
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (3, 3), (5, 5), (2, 3), (4, 6), (7, 3)])
+    def test_against_enumeration(self, n1, n2):
+        lcm = n1 * n2 // math.gcd(n1, n2)
+        for h in range(0, lcm + 2):
+            assert ks_two_sample_sf(n1, n2, h) == pytest.approx(
+                _ks_null_by_enumeration(n1, n2, h), rel=1e-13, abs=1e-15
+            )
+
+    def test_no_gap_is_certain(self):
+        assert ks_two_sample_sf(10, 10, 0) == 1.0
+        assert ks_two_sample_sf(10, 7, 0) == 1.0
+
+    @pytest.mark.parametrize("args", [(0, 3, 1), (3, 0, 1), (3, 3, -1)])
+    def test_domain(self, args):
+        with pytest.raises(DomainError):
+            ks_two_sample_sf(*args)
