@@ -148,6 +148,8 @@ FadingModel = Union[NoFading, RayleighFading, RiceanFading]
 
 #: Slack on the transmit-phase upper bound 2*pi/theta_range.
 _OMEGA_TOL = 1e-12
+#: Largest network: beyond 2**53 a float64 cannot hold L exactly.
+_MAX_SENSORS = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -166,6 +168,10 @@ class NetworkConfig:
     def __post_init__(self):
         if self.n_sensors < 1:
             raise ConfigError(f"need at least one sensor, got {self.n_sensors}")
+        if self.n_sensors > _MAX_SENSORS:
+            raise ConfigError(
+                f"n_sensors must be at most 2**53, got {self.n_sensors:.6g}"
+            )
         if not self.theta_range > 0.0:
             raise ConfigError(f"theta_range must be > 0, got {self.theta_range}")
         if not 0.0 <= self.theta <= self.theta_range:

@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric/domain error,
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -62,7 +63,6 @@ def _add_io_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="output format"
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker threads")
 
 
 def _add_experiment_options(parser: argparse.ArgumentParser) -> None:
@@ -87,6 +87,7 @@ def _add_experiment_options(parser: argparse.ArgumentParser) -> None:
         help="relative tolerance for --check (default 0.05)",
     )
     _add_io_options(parser)
+    parser.add_argument("--threads", type=int, default=1, help="worker threads")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,6 +110,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run a {' / '.join(kinds)} experiment")
         _add_experiment_options(p)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and kept for later ones.
+
+    ``parse_args`` only reads the parser, so concurrent calls can share it.
+    """
+    return _build_parser()
 
 
 def _curve_result(cfg: dict) -> ExperimentResult:
@@ -213,6 +223,8 @@ def _load_specs(args, allowed_kinds) -> list:
 
 
 def _run_experiment_command(args, allowed_kinds) -> int:
+    if not (math.isfinite(args.check_tol) and args.check_tol > 0.0):
+        raise ConfigError(f"--check-tol must be finite and > 0, got {args.check_tol}")
     specs = _load_specs(args, allowed_kinds)
     all_tracks: dict = {}
     for label, spec in specs:
@@ -263,7 +275,7 @@ def _run_experiment_command(args, allowed_kinds) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "asv-curve":
             result = _curve_result(_load_json(args.config))

@@ -360,8 +360,10 @@ def _fading_plans(spec: ExperimentSpec) -> List[TrackPlan]:
 def _fading_finish(spec: ExperimentSpec, tracks: Dict[str, _Track]) -> None:
     faded, unfaded = tracks["faded"].result, tracks["unfaded"].result
     faded.metadata["fading_penalty"] = asv.fading_penalty(spec.network.fading)
+    # an unfaded variance of 0 (every estimate equal) leaves no ratio
     faded.metadata["measured_ratio_by_point"] = [
         f.normalized_variance / u.normalized_variance
+        if u.normalized_variance != 0.0 else math.nan
         for f, u in zip(faded.records, unfaded.records)
     ]
 
@@ -631,7 +633,11 @@ def check_against_analytic(result: ExperimentResult, tolerance: float) -> List[D
     failures = []
     for rec, n_degenerate in zip(result.records, degenerate):
         if _is_compared(rec):
-            rel = abs(rec.normalized_variance / rec.analytic_asv - 1.0)
+            # a theory value of 0 (1 - phi(2*omega) cancelled) agrees with nothing
+            rel = (
+                abs(rec.normalized_variance / rec.analytic_asv - 1.0)
+                if rec.analytic_asv != 0.0 else math.inf
+            )
         elif math.isfinite(rec.analytic_asv) and rec.n_trials + n_degenerate >= 2:
             rel = math.nan  # drawn for a variance, but none came out
         else:

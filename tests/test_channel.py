@@ -87,6 +87,12 @@ class TestNetworkConfig:
         with pytest.raises(ConfigError):
             _config(**kw)
 
+    def test_network_size_cap(self):
+        # beyond 2**53 a float64 cannot hold L exactly
+        assert _config(n_sensors=2 ** 53).n_sensors == 2 ** 53
+        with pytest.raises(ConfigError, match="at most 2\\*\\*53"):
+            _config(n_sensors=2 ** 53 + 1)
+
     def test_omega_boundary_tolerance(self):
         # the exact boundary 2*pi/theta_range is admissible
         _config(omega=2.0 * math.pi / 12.0)

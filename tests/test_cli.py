@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cmest
-from cmest import asv, presets
+from cmest import asv, cli, presets
 from cmest.cli import main
 from cmest.harness import CSV_HEADER, noise_from_dict, run_kind, spec_to_dict
 from cmest.noise import HeterogeneousScaled
@@ -119,6 +121,14 @@ class TestSimulate:
         code = main(["simulate", "--config", cfg, "--check", "--check-tol", "1e-12"])
         assert code == 4
         assert "check failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_check_tolerance_must_be_finite_and_positive(self, tmp_path, capsys, tol):
+        # inf passed every point however far from theory; 0, -1 and nan
+        # failed every point
+        cfg = _write_config(tmp_path, _tiny_spec_dict(trials=4))
+        assert main(["simulate", "--config", cfg, "--check", "--check-tol", tol]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_check_that_compares_nothing_fails(self, tmp_path, capsys):
         # heterogeneous noise has no analytic variance: nothing to compare
@@ -228,6 +238,28 @@ class TestErrorPaths:
         d["sweep"] = {"parameter": "n_sensors", "values": [50.0, 100]}
         d["kind"] = "var-vs-L"
         assert main(["simulate", "--config", _write_config(tmp_path, d)]) == 0
+
+    @pytest.mark.parametrize(
+        "kind, path, value",
+        [
+            ("asv-vs-omega", ("network", "n_sensors"), 1e300),
+            ("var-vs-L", ("sweep",), {"parameter": "n_sensors", "values": [50, 1e300]}),
+        ],
+    )
+    def test_network_beyond_2_53_sensors_is_config_error(
+        self, tmp_path, kind, path, value
+    ):
+        # both ended in "ValueError: Maximum allowed dimension exceeded"
+        d = _tiny_spec_dict(kind=kind, trials=2)
+        *parents, key = path
+        target = d
+        for p in parents:
+            target = target[p]
+        target[key] = value
+        done = _run_cli("simulate", "--config", _write_config(tmp_path, d), timeout=60)
+        assert done.returncode == 2
+        assert done.stderr.startswith("config error: n_sensors must be at most 2**53")
+        assert "Traceback" not in done.stderr
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_underflowing_omega_is_numeric_error(self, tmp_path, capsys):
@@ -435,6 +467,126 @@ class TestOptimizeOmega:
         assert main(["optimize-omega", "--config", cfg]) == 2
 
 
+_CURVE_CONFIG = {
+    "noise": {"kind": "laplace", "variance": 1.0},
+    "snr_inv": 0.1,
+    "theta_range": 12.0,
+    "n_points": 40,
+}
+_OPTIMIZE_CONFIG = {
+    "noise": {"kind": "gaussian", "variance": 1.0},
+    "snr_inv": 0.1,
+    "theta_range": 12.0,
+}
+
+
+def _analytic_requests(tmp_path):
+    """asv-curve and optimize-omega argv in both formats, and one bad --format."""
+    curve = _write_config(tmp_path, _CURVE_CONFIG, name="curve.json")
+    opt = _write_config(tmp_path, _OPTIMIZE_CONFIG, name="opt.json")
+    return [
+        ["asv-curve", "--config", curve],
+        ["asv-curve", "--config", curve, "--format", "json"],
+        ["optimize-omega", "--config", opt],
+        ["optimize-omega", "--config", opt, "--format", "json"],
+        ["asv-curve", "--config", curve, "--format", "xml"],
+    ]
+
+
+class _PerThreadText(io.TextIOBase):
+    """Stand-in for sys.stdout/sys.stderr that keeps each thread's text apart."""
+
+    def __init__(self):
+        self._local = threading.local()
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self._local.__dict__.setdefault("parts", []).append(text)
+        return len(text)
+
+    def take(self):
+        return "".join(self._local.__dict__.pop("parts", []))
+
+
+def _exit_outcome(parse, argv):
+    """(exit code, stdout, stderr) of a parse that argparse ends by exiting."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+_HELP_ARGV = [["--help"]] + [
+    [name, "--help"] for name in ("asv-curve", "optimize-omega", *cli._COMMAND_KINDS)
+]
+_USAGE_ERRORS = [
+    ["asv-curve"],
+    ["optimize-omega", "--format", "csv"],
+    ["simulate"],
+    ["simulate", "--config", "cfg.json", "--preset", "fig2"],
+    ["asv-curve", "--config", "cfg.json", "--format", "xml"],
+    ["fading", "--preset", "fig8", "--format", "yaml"],
+]
+
+
+class TestSharedParser:
+    @pytest.mark.parametrize(
+        "command, config",
+        [("asv-curve", _CURVE_CONFIG), ("optimize-omega", _OPTIMIZE_CONFIG)],
+    )
+    def test_analytic_commands_take_no_threads(self, tmp_path, capsys, command, config):
+        # --threads was accepted and ignored, even at 0 or -3
+        cfg = _write_config(tmp_path, config)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+    def test_concurrent_requests_match_serial_ones(self, tmp_path):
+        requests = _analytic_requests(tmp_path) * 8
+        out, err = _PerThreadText(), _PerThreadText()
+
+        def serve(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects bad argv this way
+                code = exc.code
+            return code, out.take(), err.take()
+
+        cli._parser.cache_clear()  # both threads may race to build it, too
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads as often as possible
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                with ThreadPoolExecutor(2) as pool:
+                    shared = list(pool.map(serve, requests, timeout=120))
+                serial = [serve(argv) for argv in requests]
+        finally:
+            sys.setswitchinterval(interval)
+        assert shared == serial
+        assert [code for code, _, _ in serial[:5]] == [0, 0, 0, 0, 2]
+        assert all(text for _, text, _ in serial[:4])
+        assert "invalid choice: 'xml'" in serial[4][2]
+
+    def test_help_and_usage_errors_match_a_fresh_parser(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        for argv in _analytic_requests(tmp_path)[:4]:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+
+        def fresh(argv):
+            return cli._build_parser().parse_args(argv)
+
+        for _ in range(2):  # the second round follows failed parses
+            for argv in _HELP_ARGV + _USAGE_ERRORS:
+                kept = _exit_outcome(main, argv)
+                assert kept == _exit_outcome(fresh, argv), argv
+                assert kept[0] == (0 if "--help" in argv else 2)
+
+
 class TestPresets:
     def test_all_presets_construct(self):
         for name in presets.preset_names():
@@ -515,6 +667,42 @@ def test_cli_import_leaves_scipy_out():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+_COUNT_PARSERS = """
+import argparse
+
+built = []
+init = argparse.ArgumentParser.__init__
+
+
+def counting_init(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+
+
+argparse.ArgumentParser.__init__ = counting_init
+import cmest.cli
+
+counts = [len(built)]
+for _ in range(2):
+    try:
+        cmest.cli.main(["optimize-omega"])
+    except SystemExit:
+        pass
+    counts.append(len(built))
+print(*counts)
+"""
+
+
+def test_cli_import_builds_no_parser_and_main_builds_one():
+    # the root parser and its seven subcommand parsers, once per process
+    env = dict(os.environ, PYTHONPATH=str(Path(cmest.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", _COUNT_PARSERS],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == ["0", "8", "8"]
 
 
 # A runtime path needs no scipy: with every scipy import refused, fig9's

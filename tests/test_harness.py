@@ -364,6 +364,21 @@ class TestFadingCompare:
             tracks["unfaded"].records[0].analytic_asv * 4.0 / math.pi, rel=1e-12
         )
 
+    def test_zero_unfaded_variance_gives_no_ratio(self):
+        # float32 sin of a phase this small is 0, so every estimate is equal:
+        # the ratio used to raise ZeroDivisionError
+        spec = _spec(
+            kind="fading-compare",
+            network=_network(
+                omega=4.9e-114, channel_noise_variance=0.0, fading=RayleighFading()
+            ),
+            sweep=Sweep("theta", (2.0,)),
+            trials=3,
+        )
+        tracks = run_kind(spec)
+        assert tracks["unfaded"].records[0].normalized_variance == 0.0
+        assert math.isnan(tracks["faded"].metadata["measured_ratio_by_point"][0])
+
     def test_requires_fading_model(self):
         with pytest.raises(ConfigError):
             run_kind(_spec(kind="fading-compare",
@@ -691,6 +706,17 @@ class TestCheck:
         )
         assert check_against_analytic(result, tolerance=0.5) == []
         assert compared_points(result) == 0
+
+    def test_zero_analytic_value_fails(self):
+        # at omega 3.8e-89, 1 - phi(2*omega) cancels to 0 and so does the
+        # theory value: the check used to raise ZeroDivisionError
+        records = [
+            SweepRecord(4.0, 3, 0.0, 0.0, 0.0, 0.0),
+            SweepRecord(5.0, 3, 1.0, 0.1, 0.0, 0.0),
+        ]
+        result = ExperimentResult(records=records, metadata={})
+        failures = check_against_analytic(result, tolerance=0.5)
+        assert [f["relative_deviation"] for f in failures] == [math.inf, math.inf]
 
 
 
