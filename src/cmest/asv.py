@@ -12,11 +12,11 @@ per-sensor-power asymptote, where the channel noise washes out as the
 network grows; one code path serves both regimes.
 
 Closed-form specializations per distribution, the small-w kurtosis
-expansion, distribution-free upper bounds, the amplify-and-forward
-baseline, and the delta-method covariance ingredients used as numerical
-cross-checks all live here.
+expansion, distribution-free upper bounds and the amplify-and-forward
+baseline live here too.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +25,7 @@ import numpy as np
 from . import specfun
 from .channel import FadingModel, NoFading, RayleighFading, RiceanFading
 from .errors import CfZeroError, ConfigError, DomainError
-from .noise import NoiseModel, class_a_mgf
+from .noise import NoiseModel
 
 __all__ = [
     "AsvContext",
@@ -35,13 +35,10 @@ __all__ = [
     "asv_cauchy",
     "asv_laplace",
     "asv_uniform",
-    "asv_class_a",
     "asv_small_omega",
     "asv_upper_bound",
     "asv_af",
     "asv_low_snr_gaussian",
-    "CovarianceTerms",
-    "appendix_covariance",
     "fading_penalty",
     "asv_on_grid",
     "sample_curve",
@@ -119,6 +116,25 @@ def asv_generic(ctx: AsvContext, omega: float) -> float:
     return ctx.fading_penalty * (ctx.snr_inv + 1.0 - phi2) / denominator
 
 
+def _in_float64(closed_form):
+    """``closed_form`` raising DomainError, as asv_generic does, where its
+    arithmetic leaves float64: an overflow, a zero divisor, or a variance
+    that is not finite and > 0 (cancelled to 0, say)."""
+
+    @functools.wraps(closed_form)
+    def checked(*args):
+        try:
+            value = closed_form(*args)
+        except (OverflowError, ZeroDivisionError):
+            value = math.nan
+        if not (math.isfinite(value) and value > 0.0):
+            raise DomainError(f"{closed_form.__name__}{args} leaves float64")
+        return value
+
+    return checked
+
+
+@_in_float64
 def asv_gaussian(variance: float, snr_inv: float, omega: float) -> float:
     """exp(s2 w^2)/(2 w^2) * [snr_inv + 1 - exp(-2 s2 w^2)] for Gaussian noise."""
     omega = _check_omega(omega)
@@ -126,6 +142,7 @@ def asv_gaussian(variance: float, snr_inv: float, omega: float) -> float:
     return math.exp(b) / (2.0 * omega ** 2) * (snr_inv + 1.0 - math.exp(-2.0 * b))
 
 
+@_in_float64
 def asv_cauchy(scale: float, snr_inv: float, omega: float) -> float:
     """exp(2 g w)/(2 w^2) * [snr_inv + 1 - exp(-2 g w)] for Cauchy noise."""
     omega = _check_omega(omega)
@@ -133,6 +150,7 @@ def asv_cauchy(scale: float, snr_inv: float, omega: float) -> float:
     return math.exp(2.0 * g) / (2.0 * omega ** 2) * (snr_inv + 1.0 - math.exp(-2.0 * g))
 
 
+@_in_float64
 def asv_laplace(variance: float, snr_inv: float, omega: float) -> float:
     """Laplace noise; with beta = b^2 w^2 (b^2 = s2/2) this is
     b^2 (1+beta)^2/(2 beta) * [snr_inv + 4 beta/(1+4 beta)]."""
@@ -145,6 +163,7 @@ def asv_laplace(variance: float, snr_inv: float, omega: float) -> float:
     )
 
 
+@_in_float64
 def asv_uniform(variance: float, snr_inv: float, omega: float) -> float:
     """Uniform noise on [-a, a], a = sqrt(3 s2):
     a^2/(2 sin^2(w a)) * [snr_inv + 1 - sin(2 w a)/(2 w a)].
@@ -159,23 +178,6 @@ def asv_uniform(variance: float, snr_inv: float, omega: float) -> float:
     if abs(phi) <= CF_ZERO_TOL:
         raise CfZeroError(f"uniform characteristic function vanishes at omega={omega}")
     return a * a / (2.0 * s * s) * (snr_inv + 1.0 - math.sin(2.0 * x) / (2.0 * x))
-
-
-def asv_class_a(
-    overlap: float,
-    background_ratio: float,
-    variance: float,
-    snr_inv: float,
-    omega: float,
-) -> float:
-    """Middleton Class-A noise via the variance-mixture MGF:
-    [snr_inv + 1 - M(-2 w^2)] / (2 w^2 M(-w^2/2)^2)."""
-    omega = _check_omega(omega)
-    m1 = class_a_mgf(-0.5 * omega ** 2, overlap, background_ratio, variance)
-    if abs(m1) <= CF_ZERO_TOL:
-        raise CfZeroError(f"Class-A characteristic function ~ 0 at omega={omega}")
-    m2 = class_a_mgf(-2.0 * omega ** 2, overlap, background_ratio, variance)
-    return (snr_inv + 1.0 - m2) / (2.0 * omega ** 2 * m1 * m1)
 
 
 def asv_small_omega(variance: float, excess_kurtosis: float, omega: float) -> float:
@@ -242,74 +244,6 @@ def asv_low_snr_gaussian(variance: float, snr_inv: float) -> float:
     return variance * math.e / 2.0 * (snr_inv + 1.0 - math.exp(-2.0))
 
 
-@dataclass(frozen=True)
-class CovarianceTerms:
-    """Delta-method ingredients for the normalized channel output.
-
-    (sigma11, sigma12, sigma22) is the asymptotic covariance of
-    sqrt(L) * [Re z - E Re z, Im z - E Im z]; (g1, g2) are the gradient
-    components of the phase map.  Their quadratic form reproduces the
-    characteristic-function variance formula.
-    """
-
-    sigma11: float
-    sigma12: float
-    sigma22: float
-    v_c: float
-    v_s: float
-    g1: float
-    g2: float
-
-    def composite(self) -> float:
-        """g1^2 s11 + 2 g1 g2 s12 + g2^2 s22; equals asv_generic."""
-        return (
-            self.g1 ** 2 * self.sigma11
-            + 2.0 * self.g1 * self.g2 * self.sigma12
-            + self.g2 ** 2 * self.sigma22
-        )
-
-
-def appendix_covariance(
-    noise: NoiseModel,
-    omega: float,
-    theta: float,
-    p_t: float,
-    sigma_v2: float,
-) -> CovarianceTerms:
-    """Covariance/gradient cross-check terms for the delta method.
-
-    With c = cos(w theta), s = sin(w theta), phi = phi(w):
-
-        v_c = var(cos w eta) = 1/2 + phi(2w)/2 - phi^2
-        v_s = var(sin w eta) = 1/2 - phi(2w)/2
-        sigma11 = P_T [c^2 v_c + s^2 v_s] + sigma_v^2/2
-        sigma22 = P_T [c^2 v_s + s^2 v_c] + sigma_v^2/2
-        sigma12 = P_T s c (v_c - v_s)
-
-    and the phase-map gradients g1 = -s/(w sqrt(P_T) phi),
-    g2 = c/(w sqrt(P_T) phi), defined at every angle (the tangent form of
-    the same gradient has a removable singularity at w*theta = pi/2 mod pi).
-    """
-    omega = _check_omega(omega)
-    phi1 = float(noise.cf(omega))
-    if abs(phi1) <= CF_ZERO_TOL:
-        raise CfZeroError(f"characteristic function vanishes at omega={omega}")
-    phi2 = float(noise.cf(2.0 * omega))
-
-    v_c = 0.5 + 0.5 * phi2 - phi1 ** 2
-    v_s = 0.5 - 0.5 * phi2
-    c = math.cos(omega * theta)
-    s = math.sin(omega * theta)
-    sigma11 = p_t * (c * c * v_c + s * s * v_s) + sigma_v2 / 2.0
-    sigma22 = p_t * (c * c * v_s + s * s * v_c) + sigma_v2 / 2.0
-    sigma12 = p_t * s * c * (v_c - v_s)
-
-    root = math.sqrt(p_t) * phi1
-    g1 = -s / (omega * root)
-    g2 = c / (omega * root)
-    return CovarianceTerms(sigma11, sigma12, sigma22, v_c, v_s, g1, g2)
-
-
 def fading_penalty(fading: FadingModel) -> float:
     """Variance penalty (E[|h|])^-2: 1 without fading, 4/pi for Rayleigh,
     and the Ricean expression otherwise."""
@@ -324,7 +258,8 @@ def fading_penalty(fading: FadingModel) -> float:
 
 def asv_on_grid(ctx: AsvContext, omegas: np.ndarray) -> np.ndarray:
     """Vectorized variance evaluation; +inf marks characteristic-function
-    zeros instead of raising, so grid scans can skip them."""
+    zeros and values float64 cannot hold (overflowed, or cancelled to 0)
+    instead of raising, so grid scans can skip them."""
     omegas = np.asarray(omegas, dtype=float)
     phi1 = np.asarray(ctx.noise.cf(omegas), dtype=float)
     phi2 = np.asarray(ctx.noise.cf(2.0 * omegas), dtype=float)
@@ -335,7 +270,8 @@ def asv_on_grid(ctx: AsvContext, omegas: np.ndarray) -> np.ndarray:
             * (ctx.snr_inv + 1.0 - phi2)
             / (2.0 * np.square(omegas) * np.square(phi1))
         )
-    vals = np.where(bad | ~np.isfinite(vals), np.inf, vals)
+    # NaN and values cancelled to 0 fail "> 0" and join overflows at +inf
+    vals = np.where(bad | ~(vals > 0.0), np.inf, vals)
     return vals
 
 

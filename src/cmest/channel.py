@@ -69,9 +69,6 @@ class PerSensorPower:
     def per_sensor_power(self, n_sensors: int) -> float:
         return self.rho
 
-    def total_power(self, n_sensors: int) -> float:
-        return self.rho * n_sensors
-
 
 @dataclass(frozen=True)
 class TotalPower:
@@ -84,9 +81,6 @@ class TotalPower:
 
     def per_sensor_power(self, n_sensors: int) -> float:
         return self.p_t / n_sensors
-
-    def total_power(self, n_sensors: int) -> float:
-        return self.p_t
 
 
 PowerMode = Union[PerSensorPower, TotalPower]

@@ -39,6 +39,9 @@ _EXIT_CONFIG = 2
 _EXIT_NUMERIC = 3
 _EXIT_CHECK = 4
 
+#: Most asv-curve grid points: rendering 10**6 as JSON peaked at 1.8 GB.
+_MAX_CURVE_POINTS = 10 ** 5
+
 _COMMAND_KINDS = {
     "simulate": ("asv-vs-omega", "var-vs-L"),
     "compare-af": ("af-compare",),
@@ -121,6 +124,17 @@ def _parser() -> argparse.ArgumentParser:
     return _build_parser()
 
 
+def _theta_range(value) -> float:
+    """An analytic config's theta_range: finite and > 0, with a finite
+    largest transmit phase 2*pi/theta_range."""
+    theta_range = harness._number(value, "theta_range")
+    if not (theta_range > 0.0 and math.isfinite(2.0 * math.pi / theta_range)):
+        raise ConfigError(
+            f"theta_range must be > 0 with 2*pi/theta_range finite, got {theta_range}"
+        )
+    return theta_range
+
+
 def _curve_result(cfg: dict) -> ExperimentResult:
     harness._take(
         cfg,
@@ -128,6 +142,7 @@ def _curve_result(cfg: dict) -> ExperimentResult:
         ["noise", "theta_range"],
         optional=["snr_inv", "fading", "n_points", "omegas"],
     )
+    theta_range = _theta_range(cfg["theta_range"])
     ctx = asv.AsvContext(
         noise=noise_from_dict(cfg["noise"]),
         snr_inv=harness._number(cfg.get("snr_inv", 0.0), "snr_inv"),
@@ -145,11 +160,12 @@ def _curve_result(cfg: dict) -> ExperimentResult:
             )
         curve = asv.AsvCurve(omegas=omegas, values=values)
     else:
-        curve = asv.sample_curve(
-            ctx,
-            harness._number(cfg["theta_range"], "theta_range"),
-            harness._integer(cfg.get("n_points", 2000), "n_points"),
-        )
+        n_points = harness._integer(cfg.get("n_points", 2000), "n_points")
+        if not 1 <= n_points <= _MAX_CURVE_POINTS:
+            raise ConfigError(
+                f"n_points must lie in [1, {_MAX_CURVE_POINTS}], got {n_points:.6g}"
+            )
+        curve = asv.sample_curve(ctx, theta_range, n_points)
     records = [
         SweepRecord(
             sweep_value=float(w),
@@ -175,7 +191,7 @@ def _optimize_result(cfg: dict) -> dict:
     star = optimize.omega_star(
         noise_from_dict(cfg["noise"]),
         harness._number(cfg.get("snr_inv", 0.0), "snr_inv"),
-        harness._number(cfg["theta_range"], "theta_range"),
+        _theta_range(cfg["theta_range"]),
         cfg.get("method", "auto"),
     )
     return asdict(star)
@@ -274,34 +290,43 @@ def _run_experiment_command(args, allowed_kinds) -> int:
     return _EXIT_OK
 
 
-def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+def _run_command(args) -> int:
+    if args.command == "asv-curve":
+        result = _curve_result(_load_json(args.config))
+        _emit(render(result, args.format), args.out)
+        return _EXIT_OK
+    if args.command == "optimize-omega":
+        res = _optimize_result(_load_json(args.config))
+        if args.format == "json":
+            text = json.dumps(harness._jsonable(res), indent=2, sort_keys=True) + "\n"
+        else:
+            header = "omega,beta,clamped,at_origin,asv_at_opt,method"
+            beta = "" if res["beta"] is None else repr(res["beta"])
+            row = (
+                f"{res['omega']!r},{beta},{int(res['clamped'])},"
+                f"{int(res['at_origin'])},{res['asv_at_opt']!r},{res['method']}"
+            )
+            text = header + "\n" + row + "\n"
+        _emit(text, args.out)
+        return _EXIT_OK
+    return _run_experiment_command(args, _COMMAND_KINDS[args.command])
+
+
+def report_errors(run, args) -> int:
+    """``run(args)``'s exit code, or 2 for a ConfigError and 3 for a numeric
+    error, reported on stderr: the exit contract of every cmest entry point."""
     try:
-        if args.command == "asv-curve":
-            result = _curve_result(_load_json(args.config))
-            _emit(render(result, args.format), args.out)
-            return _EXIT_OK
-        if args.command == "optimize-omega":
-            res = _optimize_result(_load_json(args.config))
-            if args.format == "json":
-                text = json.dumps(harness._jsonable(res), indent=2, sort_keys=True) + "\n"
-            else:
-                header = "omega,beta,clamped,at_origin,asv_at_opt,method"
-                beta = "" if res["beta"] is None else repr(res["beta"])
-                row = (
-                    f"{res['omega']!r},{beta},{int(res['clamped'])},"
-                    f"{int(res['at_origin'])},{res['asv_at_opt']!r},{res['method']}"
-                )
-                text = header + "\n" + row + "\n"
-            _emit(text, args.out)
-            return _EXIT_OK
-        return _run_experiment_command(args, _COMMAND_KINDS[args.command])
+        return run(args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return _EXIT_CONFIG
     except NUMERIC_ERRORS as exc:
         sys.stderr.write(f"numeric error: {type(exc).__name__}: {exc}\n")
         return _EXIT_NUMERIC
+
+
+def main(argv=None) -> int:
+    return report_errors(_run_command, _parser().parse_args(argv))
 
 
 if __name__ == "__main__":

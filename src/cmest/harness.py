@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import asv, specfun
+from . import __version__, asv, specfun
 from .channel import (
     NetworkConfig,
     NoFading,
@@ -576,8 +576,6 @@ def run_kind(spec: ExperimentSpec, threads: int = 1) -> Dict[str, ExperimentResu
         acc = TrialAccumulator()
         acc.add_batch(finite)
         return acc, finite if kind.keep_errors else None
-
-    from cmest import __version__  # local import; package init re-exports this module
 
     tracks = {}
     pool = ThreadPoolExecutor(min(threads, len(units))) if threads > 1 else None

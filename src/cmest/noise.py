@@ -78,9 +78,17 @@ class NoiseModel:
     def excess_kurtosis(self) -> float:
         raise MomentUndefinedError(f"{type(self).__name__} kurtosis undefined")
 
-    def sample(self, rng: np.random.Generator, size=None, sensor_index: int = 1):
-        """Draw noise values; ``sensor_index`` only matters for per-sensor scaling."""
-        raise NotImplementedError
+    def sample(self, rng: np.random.Generator, size=None, out=None, work=None):
+        """Noise draws of shape ``size``, or one float when ``size`` is None.
+
+        ``out``, a C-contiguous float64 array of that shape, may receive the
+        draw in place; always use the returned array.  ``work``, two more
+        such arrays, is scratch a model may overwrite.  The values are the
+        same either way.
+        """
+        raise UnsupportedModelError(
+            f"{type(self).__name__} has no single noise distribution to draw from"
+        )
 
     def sample_sensors(
         self,
@@ -92,17 +100,9 @@ class NoiseModel:
     ) -> np.ndarray:
         """(n_trials, n_sensors) noise matrix; column j belongs to sensor j+1.
 
-        ``out``, a C-contiguous float64 array of that shape, may receive the
-        draw in place; always use the returned array.  ``work``, two more
-        such arrays, is scratch a model may overwrite.  The values are those
-        of ``sample(rng, (n_trials, n_sensors))`` either way.
+        ``out`` and ``work`` are as for ``sample``.
         """
-        return self._sample_block(rng, (n_trials, n_sensors), out, work)
-
-    def _sample_block(self, rng, size, out, work=None) -> np.ndarray:
-        """``sample(rng, size)``.  Models that can draw in place override
-        this to write into ``out`` when one is given, and sample through it."""
-        return self.sample(rng, size)
+        return self.sample(rng, (n_trials, n_sensors), out, work)
 
 
 @dataclass(frozen=True)
@@ -121,10 +121,7 @@ class Gaussian(NoiseModel):
     def excess_kurtosis(self) -> float:
         return 0.0
 
-    def sample(self, rng, size=None, sensor_index=1):
-        return self._sample_block(rng, size, None)
-
-    def _sample_block(self, rng, size, out, work=None):
+    def sample(self, rng, size=None, out=None, work=None):
         draw = rng.standard_normal(size, out=out)
         draw *= math.sqrt(self.variance_)
         return draw
@@ -152,8 +149,8 @@ class Laplace(NoiseModel):
     def excess_kurtosis(self) -> float:
         return 3.0
 
-    def sample(self, rng, size=None, sensor_index=1):
-        return rng.laplace(0.0, self.scale, size)
+    def sample(self, rng, size=None, out=None, work=None):
+        return rng.laplace(0.0, self.scale, size)  # no ``out`` in numpy's laplace
 
 
 @dataclass(frozen=True)
@@ -168,10 +165,7 @@ class Cauchy(NoiseModel):
     def cf(self, omega):
         return np.exp(-self.scale * np.abs(omega))
 
-    def sample(self, rng, size=None, sensor_index=1):
-        return self._sample_block(rng, size, None)
-
-    def _sample_block(self, rng, size, out, work=None):
+    def sample(self, rng, size=None, out=None, work=None):
         # Inversion: gamma * tan(pi (U - 1/2)).
         draw = rng.random(size, out=out)
         draw -= 0.5
@@ -213,10 +207,7 @@ class Uniform(NoiseModel):
     def excess_kurtosis(self) -> float:
         return -1.2
 
-    def sample(self, rng, size=None, sensor_index=1):
-        return self._sample_block(rng, size, None)
-
-    def _sample_block(self, rng, size, out, work=None):
+    def sample(self, rng, size=None, out=None, work=None):
         # rng.uniform(-a, a)'s own order: low + (high - low) * u
         a = self.half_width
         draw = rng.random(size, out=out)
@@ -323,11 +314,9 @@ class ClassA(NoiseModel):
         # kappa = 3 var(X) / E[X]^2 for a compound Gaussian sqrt(X)*G.
         return 3.0 / (self.overlap * (self.background_ratio + 1.0) ** 2)
 
-    def sample(self, rng, size=None, sensor_index=1):
-        draws = self._sample_block(rng, 1 if size is None else size, None)
-        return float(draws[0]) if size is None else draws
-
-    def _sample_block(self, rng, size, out, work=None):
+    def sample(self, rng, size=None, out=None, work=None):
+        if size is None:
+            return float(self.sample(rng, 1)[0])
         # sqrt(X) * G: all of the chunk's uniforms pick their Poisson counts
         # by CDF inversion, then all of its normals are drawn.
         thresholds, scales, bin_scales = _class_a_tables(
@@ -391,20 +380,18 @@ class HeterogeneousScaled(NoiseModel):
     """Non-identically distributed noise eta_i = sigma_i * eta.
 
     ``scale_rule`` maps 1-based sensor indices to scales sigma_i.  There is no
-    single characteristic function, so cf() and the moments raise.
+    single distribution, so sample(), cf() and the moments raise; draws come
+    from sample_sensors().
     """
 
     base: NoiseModel
     scale_rule: ScaleRule
 
-    def sample(self, rng, size=None, sensor_index=1):
-        return float(self.scale_rule(sensor_index)) * self.base.sample(rng, size)
-
     def sample_sensors(self, rng, n_trials, n_sensors, out=None, work=None):
         scales = _sensor_scales(self.scale_rule, n_sensors)
-        # Through the base's sampler, not its sample_sensors: one noise
+        # Through the base's sample, not its sample_sensors: one noise
         # matrix is one sampling call.
-        draw = self.base._sample_block(rng, (n_trials, n_sensors), out, work)
+        draw = self.base.sample(rng, (n_trials, n_sensors), out, work)
         draw *= scales
         return draw
 

@@ -205,13 +205,18 @@ def omega_star_laplace(
     """
     _check_args("variance", variance, snr_inv)
     s = snr_inv
-    c = (
-        125.0 * s ** 3
-        + 258.0 * s ** 2
-        + 141.0 * s
-        + 3.0 * math.sqrt(3.0) * math.sqrt(s * (s + 1.0) ** 3 * (375.0 * s + 32.0))
-        + 8.0
-    ) ** (1.0 / 3.0)
+    try:
+        c = (
+            125.0 * s ** 3
+            + 258.0 * s ** 2
+            + 141.0 * s
+            + 3.0 * math.sqrt(3.0) * math.sqrt(s * (s + 1.0) ** 3 * (375.0 * s + 32.0))
+            + 8.0
+        ) ** (1.0 / 3.0)
+    except OverflowError as exc:
+        raise DomainError(
+            f"snr_inv={snr_inv} puts the Laplace quartic's cubes beyond float64"
+        ) from exc
     beta = (c / (s + 1.0) + (25.0 * s + 4.0) / c + 2.0) / 12.0
     b = math.sqrt(variance / 2.0)
     omega_unc = math.sqrt(beta) / b

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from cmest import asv, optimize, specfun
-from cmest.asv import AsvContext, appendix_covariance, asv_on_grid
+from cmest.asv import AsvContext, asv_on_grid
 from cmest.channel import (
     NetworkConfig,
     PerSensorPower,
@@ -28,6 +28,7 @@ from cmest.harness import (
 from cmest.noise import Cauchy, Gaussian, HeterogeneousScaled, Laplace, Uniform
 from cmest.noise import BoundedScales
 
+from conftest import appendix_covariance
 from test_specfun import _kummer_oracle
 
 SEED = 976321

@@ -7,10 +7,8 @@ from cmest import asv
 from cmest.asv import (
     AsvContext,
     AsvCurve,
-    appendix_covariance,
     asv_af,
     asv_cauchy,
-    asv_class_a,
     asv_gaussian,
     asv_generic,
     asv_laplace,
@@ -27,6 +25,18 @@ from cmest.channel import NoFading, RayleighFading, RiceanFading
 from cmest.errors import CfZeroError, ConfigError, DomainError
 from cmest.noise import Cauchy, ClassA, Gaussian, Laplace, Uniform
 from cmest.specfun import ricean_fading_penalty
+from conftest import appendix_covariance
+
+
+def _class_a_mixture_cf(overlap, background_ratio, variance, omega):
+    """The Class-A characteristic function as its explicit Poisson mixture
+    sum_k e^-A A^k/k! exp(-w^2 s_k^2/2), s_k^2 = variance (k/(A(T+1)) + T/(T+1))."""
+    a, t = overlap, background_ratio
+    return math.fsum(
+        math.exp(-a) * a ** k / math.factorial(k)
+        * math.exp(-0.5 * omega ** 2 * variance * (k / (a * (t + 1.0)) + t / (t + 1.0)))
+        for k in range(60)
+    )
 
 
 class TestGenericAgainstClosedForms:
@@ -45,11 +55,11 @@ class TestGenericAgainstClosedForms:
                 (asv_gaussian(s2, snr, w), Gaussian(s2)),
                 (asv_cauchy(math.sqrt(s2), snr, w), Cauchy(math.sqrt(s2))),
                 (asv_laplace(s2, snr, w), Laplace(s2)),
-                (
-                    asv_class_a(0.5, 0.2, s2, snr, w),
-                    ClassA(overlap=0.5, background_ratio=0.2, variance_=s2),
-                ),
             ]
+            class_a = ClassA(overlap=0.5, background_ratio=0.2, variance_=s2)
+            assert class_a.cf(w) == pytest.approx(
+                _class_a_mixture_cf(0.5, 0.2, s2, w), rel=1e-12
+            ), (class_a, w)
             a = math.sqrt(3.0 * s2)
             if abs(math.sin(w * a) / (w * a)) > 1e-9:
                 pairs.append((asv_uniform(s2, snr, w), Uniform(s2)))
@@ -80,6 +90,21 @@ class TestGenericAgainstClosedForms:
         with pytest.raises(DomainError, match="underflow"):
             asv_generic(ctx, 1e-200)
         assert math.isfinite(asv_generic(ctx, 1e-150))
+
+    @pytest.mark.parametrize(
+        "closed_form, args",
+        [
+            (asv_gaussian, (1e12, 0.0, 1.0)),  # exp overflows
+            (asv_gaussian, (1.0, 0.1, 1e-200)),  # 2 w^2 underflows to 0
+            (asv_cauchy, (1.0, 0.1, 1e-200)),
+            (asv_laplace, (1.0, 0.1, 1e-200)),
+            (asv_uniform, (1.0, 0.1, 1e-200)),
+            (asv_gaussian, (1.0, 0.0, 1e-9)),  # 1 - phi(2w) cancels to 0
+        ],
+    )
+    def test_closed_forms_beyond_float64_are_domain_errors(self, closed_form, args):
+        with pytest.raises(DomainError):
+            closed_form(*args)
 
     def test_fading_penalty_scales_generic(self):
         base = asv_generic(AsvContext(noise=Gaussian(1.0), snr_inv=0.1), 0.4)
@@ -269,6 +294,9 @@ class TestCurveShape:
         )
         assert np.isinf(vals[1])
         assert np.isfinite(vals[[0, 2]]).all()
+        # a variance cancelled to 0 (1 - phi(2w) at tiny w) is no minimum
+        vals = asv_on_grid(AsvContext(noise=Gaussian(1.0)), np.array([1e-9, 0.5]))
+        assert np.isinf(vals[0]) and np.isfinite(vals[1])
 
 
 class TestFadingPenalty:

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import cmest
 from cmest import asv, cli, presets
 from cmest.cli import main
+from cmest.errors import DomainError
 from cmest.harness import CSV_HEADER, noise_from_dict, run_kind, spec_to_dict
 from cmest.noise import HeterogeneousScaled
 
@@ -467,6 +469,58 @@ class TestOptimizeOmega:
         assert main(["optimize-omega", "--config", cfg]) == 2
 
 
+class TestAnalyticConfigs:
+    @pytest.mark.parametrize("theta_range", [0, -12, 1e-320, "x"])
+    @pytest.mark.parametrize(
+        "command, grid",
+        [("asv-curve", {}), ("asv-curve", {"omegas": [0.3]}), ("optimize-omega", {})],
+    )
+    def test_bad_theta_range_is_config_error(
+        self, tmp_path, capsys, command, grid, theta_range
+    ):
+        # theta_range must be finite and > 0 with a finite 2*pi/theta_range,
+        # whichever grid the curve uses
+        cfg = {"noise": {"kind": "gaussian", "variance": 1.0}, "theta_range": theta_range}
+        assert main([command, "--config", _write_config(tmp_path, {**cfg, **grid})]) == 2
+        assert "config error: theta_range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_points", [-5, 0, 2.5, 1e300, 100_001])
+    def test_bad_n_points_is_config_error(self, tmp_path, capsys, n_points):
+        cfg = {
+            "noise": {"kind": "gaussian", "variance": 1.0},
+            "theta_range": 12.0,
+            "n_points": n_points,
+        }
+        assert main(["asv-curve", "--config", _write_config(tmp_path, cfg)]) == 2
+        assert "config error: n_points" in capsys.readouterr().err
+
+    def test_single_point_curve(self, tmp_path, capsys):
+        cfg = {"noise": {"kind": "gaussian", "variance": 1.0}, "theta_range": 12.0,
+               "n_points": 1}
+        assert main(["asv-curve", "--config", _write_config(tmp_path, cfg)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+
+    @pytest.mark.parametrize(
+        "noise, theta_range, snr_inv",
+        [
+            ({"kind": "gaussian", "variance": 1e12}, 12.0, 0.0),
+            ({"kind": "gaussian", "variance": 1.0}, 1e-10, 0.0),
+            ({"kind": "cauchy", "scale": 1e300}, 12.0, 0.0),
+            ({"kind": "gaussian", "variance": 1.0}, 1e308, 0.1),
+            ({"kind": "laplace", "variance": 1.0}, 1e308, 0.1),
+            ({"kind": "uniform", "variance": 1.0}, 1e308, 0.1),
+            ({"kind": "cauchy", "scale": 1.0}, 1e308, 0.1),
+            ({"kind": "laplace", "variance": 1.0}, 12.0, 1e300),  # the quartic's cubes
+        ],
+    )
+    def test_closed_form_beyond_float64_is_numeric_error(
+        self, tmp_path, capsys, noise, theta_range, snr_inv
+    ):
+        cfg = {"noise": noise, "theta_range": theta_range, "snr_inv": snr_inv}
+        assert main(["optimize-omega", "--config", _write_config(tmp_path, cfg)]) == 3
+        assert "numeric error: DomainError" in capsys.readouterr().err
+
+
 _CURVE_CONFIG = {
     "noise": {"kind": "laplace", "variance": 1.0},
     "snr_inv": 0.1,
@@ -658,6 +712,47 @@ class TestPresets:
             "cauchy-robustness",
             "heterogeneous-consistency",
         }
+
+
+_FIGURE_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "make_figure_data.py"
+
+
+class TestFigureScript:
+    """scripts/make_figure_data.py keeps the CLI's exit codes."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--threads", "0", "--figs", "fig1"],
+            ["--figs", "fig99"],
+            ["--trials-scale", "nan"],
+            ["--trials-scale", "-1"],
+            ["--trials-scale", "0"],
+            ["--trials-scale", "inf"],
+        ],
+    )
+    def test_bad_arguments_are_config_errors(self, tmp_path, argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(cmest.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, str(_FIGURE_SCRIPT), "--outdir", str(tmp_path), *argv],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.startswith("config error:")
+        assert "Traceback" not in out.stderr
+        assert list(tmp_path.iterdir()) == []  # nothing was run
+
+    def test_numeric_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        spec = importlib.util.spec_from_file_location("make_figure_data", _FIGURE_SCRIPT)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+
+        def overflowing_run(spec, threads=1):
+            raise DomainError("overflow")
+
+        monkeypatch.setattr(script.harness, "run_kind", overflowing_run)
+        assert script.main(["--outdir", str(tmp_path), "--figs", "fig1"]) == 3
+        assert capsys.readouterr().err == "numeric error: DomainError: overflow\n"
 
 
 def test_cli_import_leaves_scipy_out():
@@ -896,3 +991,78 @@ def test_fuzzed_network_configs_keep_the_exit_contract(
         code = main(argv + ["--check"] if check else argv)
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
+
+
+_FUZZ_ANALYTIC = {
+    "noise": _FUZZ_NOISE,
+    "theta_range": _FUZZ_NETWORK_NUMBER,
+    "snr_inv": _FUZZ_NETWORK_NUMBER,
+    "n_points": st.one_of(_FUZZ_SMALL_INTEGER, _FUZZ_NUMBER),
+    "omegas": st.one_of(
+        st.lists(_FUZZ_NETWORK_NUMBER, max_size=3), st.sampled_from([None, 0.3, "0.3"])
+    ),
+    "fading": _FUZZ_FADING,
+    "method": st.sampled_from(["auto", "closed", "numeric", "newton", None, 3]),
+}
+_VALID_NOISE = st.sampled_from(
+    [
+        {"kind": "gaussian", "variance": 1.0},
+        {"kind": "laplace", "variance": 2.0},
+        {"kind": "cauchy", "scale": 0.5},
+        {"kind": "uniform", "variance": 1.5},
+        {"kind": "class-a", "overlap": 0.5, "background_ratio": 0.1, "variance": 1.0},
+    ]
+)
+_FUZZ_ANALYTIC_KEYS = {
+    "asv-curve": ["noise", "theta_range", "snr_inv", "n_points", "omegas", "fading"],
+    "optimize-omega": ["noise", "theta_range", "snr_inv", "method"],
+}
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(sorted(_FUZZ_ANALYTIC_KEYS)),
+    fmt=st.sampled_from(["csv", "json"]),
+    data=st.data(),
+)
+def test_fuzzed_analytic_configs_keep_the_exit_contract(tmp_path_factory, command, fmt, data):
+    # up to three keys of a valid asv-curve or optimize-omega config are
+    # fuzzed: the request succeeds with output that parses, is rejected as a
+    # config error or fails as a numeric error, with no traceback
+    keys = data.draw(
+        st.lists(st.sampled_from(_FUZZ_ANALYTIC_KEYS[command]), max_size=3, unique=True),
+        label="keys",
+    )
+    cfg = {"noise": data.draw(_VALID_NOISE, label="valid noise"), "snr_inv": 0.1,
+           "theta_range": 12.0}
+    for key in keys:
+        cfg[key] = data.draw(_FUZZ_ANALYTIC[key], label=key)
+    path = _write_config(tmp_path_factory.mktemp("fuzz"), cfg)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--config", path, "--format", fmt])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        return
+    phase_key, asv_key = {
+        "asv-curve": ("sweep_value", "analytic_asv"),
+        "optimize-omega": ("omega", "asv_at_opt"),
+    }[command]
+    if fmt == "json":
+        payload = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        rows = payload.get("records", [payload])  # an optimum is one flat record
+    else:
+        header, *lines = out.getvalue().splitlines()
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    # every output point is a finite transmit phase with a finite variance
+    assert rows
+    for row in rows:
+        omega, value = float(row[phase_key]), float(row[asv_key])
+        assert math.isfinite(omega) and omega > 0.0
+        assert math.isfinite(value) and value > 0.0

@@ -384,11 +384,11 @@ class TestHeterogeneous:
         with pytest.raises((MomentUndefinedError, UnsupportedModelError)):
             het.variance()
 
-    def test_single_sensor_scaling(self):
+    def test_single_draw_unsupported(self):
+        # no one distribution to draw from: draws are per-sensor matrices
         het = HeterogeneousScaled(Gaussian(1.0), LinearGrowthScales(sigma=2.0))
-        a = het.sample(np.random.default_rng(3), 1000, sensor_index=4)
-        b = Gaussian(1.0).sample(np.random.default_rng(3), 1000)
-        np.testing.assert_allclose(a, 4.0 * b, rtol=1e-14)
+        with pytest.raises(UnsupportedModelError):
+            het.sample(np.random.default_rng(3), 1000)
 
 
 class TestConstruction:
