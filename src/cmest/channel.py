@@ -88,8 +88,7 @@ PowerMode = Union[PerSensorPower, TotalPower]
 
 @dataclass(frozen=True)
 class NoFading:
-    def sample_gains(self, rng: np.random.Generator, size) -> np.ndarray:
-        return np.ones(size)
+    """Unit gains: the CM kernel draws none for this model."""
 
 
 @dataclass(frozen=True)

@@ -168,14 +168,14 @@ def _curve_result(cfg: dict) -> ExperimentResult:
         curve = asv.sample_curve(ctx, theta_range, n_points)
     records = [
         SweepRecord(
-            sweep_value=float(w),
+            sweep_value=w,
             n_trials=0,
             normalized_variance=math.nan,
             std_error=math.nan,
-            analytic_asv=float(v),
+            analytic_asv=v,
             bias=math.nan,
         )
-        for w, v in zip(curve.omegas, curve.values)
+        for w, v in zip(curve.omegas.tolist(), curve.values.tolist())
     ]
     metadata = {"kind": "asv-curve", "config": cfg}
     return ExperimentResult(records=records, metadata=metadata)

@@ -4,7 +4,7 @@ Each solver minimizes the asymptotic variance over omega in
 (0, 2*pi/theta_range].  Gaussian, Cauchy, Laplace, and uniform noise admit
 closed or semi-closed stationarity equations; anything else (notably
 Class-A, whose variance curve can have several local minima) goes through a
-deterministic global grid scan with golden-section refinement.
+deterministic global grid scan refined by scan-and-zoom.
 """
 
 import math
@@ -138,14 +138,15 @@ def omega_star_gaussian(
 
     At snr_inv = 0 the root collapses to beta = 0: the infimum (the noise
     variance itself) sits at the origin and is not attained, so the smallest
-    default curve grid point is returned with ``at_origin`` set.
+    default curve grid point is returned with ``at_origin`` set.  So does an
+    snr_inv too small to move snr_inv + 1 off 1 in float64.
     """
     _check_args("variance", variance, snr_inv)
 
     def value(w: float) -> float:
         return asv.asv_gaussian(variance, snr_inv, w)
 
-    if snr_inv == 0.0:
+    if snr_inv + 1.0 == 1.0:
         omega = asv.ORIGIN_FRACTION * 2.0 * math.pi / theta_range
         return OmegaStar(
             omega=omega,
@@ -269,26 +270,8 @@ def omega_star_uniform(
     return _finish(omega_unc, theta_range, value, "uniform-bisect", beta)
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_section(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
-) -> float:
-    """Deterministic golden-section minimization on [lo, hi]."""
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = f(d)
-    return 0.5 * (lo + hi)
+#: Evenly spaced points per zoom round of the numeric scan.
+_ZOOM_POINTS = 65
 
 
 def _hybrid_grid(omega_max: float, n_points: int) -> np.ndarray:
@@ -309,9 +292,12 @@ def omega_star_numeric(
     """Global scan for distributions without a stationarity closed form.
 
     A hybrid log+linear grid over (0, 2*pi/theta_range] is scanned (ties
-    break to the lowest index), then the best bracket is refined by
-    golden-section search.  Handles variance curves with several local
-    minima, where single-start descent can stall on the wrong one.
+    break to the lowest index).  Then scan-and-zoom: each round evaluates
+    the best grid point's bracket on evenly spaced points at once and
+    narrows it to the neighbours of their first minimum, until the bracket
+    is under _INTERVAL_TOL * omega_max or stops narrowing.  The best point
+    evaluated anywhere is returned.  Handles variance curves with several
+    local minima, where single-start descent can stall on the wrong one.
     """
     ctx = asv.AsvContext(noise=noise, snr_inv=snr_inv)
     omega_max = 2.0 * math.pi / theta_range
@@ -322,23 +308,23 @@ def omega_star_numeric(
             "every grid point hit a characteristic-function zero"
         )
     best = int(np.argmin(values))  # first minimum on ties
+    omega, value = float(grid[best]), float(values[best])
     lo = grid[best - 1] if best > 0 else grid[0]
     hi = grid[best + 1] if best + 1 < len(grid) else omega_max
-
-    def value(w: float) -> float:
-        vals = asv.asv_on_grid(ctx, np.asarray([w]))
-        return float(vals[0])
-
-    omega = float(_golden_section(value, float(lo), float(hi), tol=_INTERVAL_TOL * omega_max))
+    while hi - lo > _INTERVAL_TOL * omega_max:
+        points = np.linspace(lo, hi, _ZOOM_POINTS)
+        vals = asv.asv_on_grid(ctx, points)
+        k = int(np.argmin(vals))
+        if vals[k] < value:
+            omega, value = float(points[k]), float(vals[k])
+        width = hi - lo
+        lo, hi = points[max(k - 1, 0)], points[min(k + 1, _ZOOM_POINTS - 1)]
+        if hi - lo >= width:
+            break
     clamped = bool(omega >= omega_max * (1.0 - 1e-9))
-    if clamped:
-        omega = omega_max
-    return OmegaStar(
-        omega=omega,
-        asv_at_opt=value(omega),
-        method="grid-global",
-        clamped=clamped,
-    )
+    if clamped:  # the scan grid ends at omega_max
+        omega, value = omega_max, float(values[-1])
+    return OmegaStar(omega=omega, asv_at_opt=value, method="grid-global", clamped=clamped)
 
 
 _METHODS = ("auto", "closed", "numeric")

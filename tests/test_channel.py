@@ -215,7 +215,11 @@ def _reference_faded_cm_batch(config, n_trials, rng):
     for chunk in _row_chunks(n_trials, L):
         rows = chunk.stop - chunk.start
         eta = config.noise.sample_sensors(rng, rows, L)
-        gains = config.fading.sample_gains(rng, (rows, L))
+        gains = (
+            1.0
+            if isinstance(config.fading, NoFading)
+            else config.fading.sample_gains(rng, (rows, L))
+        )
         phase = config.omega * (config.theta + eta)
         y[chunk] = (gains * np.cos(phase)).sum(axis=1) + 1j * (
             gains * np.sin(phase)
@@ -367,9 +371,6 @@ class TestFadingGains:
         np.testing.assert_array_equal(
             fading.sample_gains(np.random.default_rng(4), size), expected
         )
-
-    def test_no_fading_is_ones(self, rng):
-        assert np.all(NoFading().sample_gains(rng, 10) == 1.0)
 
     def test_negative_k_rejected(self):
         with pytest.raises(ConfigError):

@@ -10,6 +10,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,16 @@ import cmest
 from cmest import asv, cli, presets
 from cmest.cli import main
 from cmest.errors import DomainError
-from cmest.harness import CSV_HEADER, noise_from_dict, run_kind, spec_to_dict
+from cmest.harness import (
+    CSV_HEADER,
+    ExperimentResult,
+    SweepRecord,
+    fading_from_dict,
+    noise_from_dict,
+    render,
+    run_kind,
+    spec_to_dict,
+)
 from cmest.noise import HeterogeneousScaled
 
 
@@ -393,6 +403,39 @@ class TestAsvCurve:
             asv_gaussian(1.0, 0.1, 0.3) * 4.0 / math.pi, rel=1e-12
         )
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "grid", [{}, {"n_points": 200}, {"omegas": [0.01 * k for k in range(1, 53)]}],
+        ids=["default", "n_points", "omegas"],
+    )
+    def test_records_render_like_per_point_floats(self, tmp_path, capsys, grid, fmt):
+        cfg = {
+            "noise": {"kind": "class-a", "overlap": 0.5, "background_ratio": 0.1,
+                      "variance": 3.0},
+            "snr_inv": 0.1,
+            "theta_range": 12.0,
+            "fading": {"kind": "ricean", "k_factor": 3.0},
+            **grid,
+        }
+        assert main(
+            ["asv-curve", "--config", _write_config(tmp_path, cfg), "--format", fmt]
+        ) == 0
+        ctx = asv.AsvContext(
+            noise_from_dict(cfg["noise"]),
+            0.1,
+            fading_penalty=asv.fading_penalty(fading_from_dict(cfg["fading"])),
+        )
+        if "omegas" in grid:
+            omegas = np.array(grid["omegas"])
+        else:
+            omegas = asv.default_omega_grid(12.0, grid.get("n_points", 2000))
+        records = [
+            SweepRecord(float(w), 0, math.nan, math.nan, float(v), math.nan)
+            for w, v in zip(omegas, asv.asv_on_grid(ctx, omegas))
+        ]
+        expected = ExperimentResult(records, {"kind": "asv-curve", "config": cfg})
+        assert capsys.readouterr().out == render(expected, fmt)
+
     @pytest.mark.parametrize("omegas", [["0.3", True], "0.3", [math.nan], []])
     def test_malformed_omegas_are_config_errors(self, tmp_path, capsys, omegas):
         curve = {
@@ -451,6 +494,18 @@ class TestOptimizeOmega:
         )
         assert main(["optimize-omega", "--config", cfg, "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["method"] == "grid-global"
+
+    def test_gaussian_snr_inv_lost_beside_one_is_at_origin(self, tmp_path, capsys):
+        cfg = {
+            "noise": {"kind": "gaussian", "variance": 1.0},
+            "snr_inv": 1.18e-38,
+            "theta_range": 12.0,
+        }
+        argv = ["optimize-omega", "--config", _write_config(tmp_path, cfg)]
+        assert main([*argv, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["at_origin"]
+        assert payload["asv_at_opt"] == pytest.approx(1.0, rel=1e-4)
 
     def test_closed_method_unavailable(self, tmp_path):
         cfg = _write_config(

@@ -50,6 +50,13 @@ class TestGaussian:
         assert star.clamped
         assert star.omega == pytest.approx(2.0 * math.pi / 100.0)
 
+    def test_snr_inv_lost_beside_one_degenerates_to_origin(self):
+        # snr_inv + 1 == 1 in float64: the stationarity root is beta = 0 too
+        star = omega_star_gaussian(1.0, 1.18e-38, 12.0)
+        assert star.at_origin
+        assert star.beta == 0.0
+        assert star.asv_at_opt == pytest.approx(1.0, rel=1e-4)
+
     def test_zero_snr_degenerates_to_origin(self):
         star = omega_star_gaussian(1.0, 0.0, 12.0)
         assert star.at_origin
@@ -194,6 +201,46 @@ class TestNumericGlobal:
             star = omega_star_numeric(noise, snr, 12.0)
             w_grid, v_grid = grid_argmin(AsvContext(noise, snr), 12.0, n_points=200_000)
             assert star.asv_at_opt <= v_grid * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize(
+        "noise, snr, theta_range",
+        [
+            (Gaussian(1.0), 0.1, 4.0),
+            (Laplace(2.0), 0.5, 4.0),
+            (Uniform(1.5), 0.1, 4.0),
+            (Cauchy(0.8), 0.1, 4.0),
+            (ClassA(0.5, 0.1, 3.0), 0.1, 2.0),
+            (ClassA(2.0, 0.005, 3.0), 0.1, 0.6),
+        ],
+        ids=["gaussian", "laplace", "uniform", "cauchy", "class-a", "class-a-multimodal"],
+    )
+    def test_scan_and_zoom_beats_the_scan_and_a_fine_grid_at_the_optimum(
+        self, monkeypatch, noise, snr, theta_range
+    ):
+        ctx = AsvContext(noise, snr)
+        omega_max = 2.0 * math.pi / theta_range
+        grid_sizes = []
+
+        def spy(ctx, omegas):
+            grid_sizes.append(len(omegas))
+            return asv_on_grid(ctx, omegas)
+
+        monkeypatch.setattr(asv, "asv_on_grid", spy)
+        star = omega_star_numeric(noise, snr, theta_range)
+        monkeypatch.undo()
+        # a few vectorized rounds, not one call per refinement point
+        assert len(grid_sizes) <= 12
+        assert min(grid_sizes) > 1
+
+        scan = asv_on_grid(ctx, optimize._hybrid_grid(omega_max, 10_000))
+        assert star.asv_at_opt <= scan.min()
+        # the curve is flat to rounding near its minimum, so a fine grid there
+        # samples float64 noise: allow two ulps
+        fine = np.linspace(
+            star.omega * (1.0 - 1e-6), min(star.omega * (1.0 + 1e-6), omega_max), 10_001
+        )
+        fine_min = asv_on_grid(ctx, fine).min()
+        assert star.asv_at_opt <= fine_min * (1.0 + 2.0 * np.finfo(float).eps)
 
 
 class TestDispatch:
