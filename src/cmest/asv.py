@@ -11,13 +11,15 @@ where snr_inv = sigma_v^2 / P_T is the channel noise-to-power ratio and
 per-sensor-power asymptote, where the channel noise washes out as the
 network grows; one code path serves both regimes.
 
-Closed-form specializations per distribution, the small-w kurtosis
-expansion, distribution-free upper bounds and the amplify-and-forward
-baseline live here too.
+That code path evaluates the formula for every noise model, scalar and
+vectorized.  Each model gives 1 - phi(2w) directly (``cf_complement``), so
+the variance keeps its digits as w -> 0, where phi(2w) -> 1.  The small-w
+kurtosis expansion, distribution-free upper bounds and the
+amplify-and-forward baseline live here too.
 """
 
-import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +33,6 @@ __all__ = [
     "AsvContext",
     "AsvCurve",
     "asv_generic",
-    "asv_gaussian",
-    "asv_cauchy",
-    "asv_laplace",
-    "asv_uniform",
     "asv_small_omega",
     "asv_upper_bound",
     "asv_af",
@@ -97,87 +95,38 @@ def _check_omega(omega: float) -> float:
     return omega
 
 
+def _asv(ctx: AsvContext, omega):
+    """phi(w), the denominator 2 w^2 phi(w)^2 and the variance at omega, a
+    float or an array.  The noise model supplies 1 - phi(2w) itself, so the
+    numerator does not cancel as phi(2w) nears 1 toward the origin."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        phi1 = ctx.noise.cf(omega)
+        denominator = 2.0 * np.square(omega) * np.square(phi1)
+        numerator = ctx.snr_inv + ctx.noise.cf_complement(2.0 * omega)
+        return phi1, denominator, ctx.fading_penalty * numerator / denominator
+
+
 def asv_generic(ctx: AsvContext, omega: float) -> float:
-    """Characteristic-function form of the asymptotic variance at omega."""
+    """Characteristic-function form of the asymptotic variance at omega.
+
+    Raises CfZeroError where |phi(omega)| <= CF_ZERO_TOL, and DomainError
+    where 2 omega^2 phi(omega)^2 underflows float64's normal range or the
+    variance is not finite and > 0.
+    """
     omega = _check_omega(omega)
-    phi1 = float(ctx.noise.cf(omega))
+    phi1, denominator, value = _asv(ctx, omega)
     if abs(phi1) <= CF_ZERO_TOL:
         raise CfZeroError(
             f"characteristic function vanishes at omega={omega}; "
             "the estimator is not identifiable there"
         )
-    phi2 = float(ctx.noise.cf(2.0 * omega))
-    denominator = 2.0 * omega ** 2 * phi1 ** 2
-    if denominator == 0.0:
+    if denominator < sys.float_info.min:  # subnormal: digits lost
         raise DomainError(
-            f"omega={omega} is too small: 2*omega^2*phi(omega)^2 underflows "
-            "float64 to 0"
+            f"2*omega^2*phi(omega)^2 underflows float64 at omega={omega}"
         )
-    return ctx.fading_penalty * (ctx.snr_inv + 1.0 - phi2) / denominator
-
-
-def _in_float64(closed_form):
-    """``closed_form`` raising DomainError, as asv_generic does, where its
-    arithmetic leaves float64: an overflow, a zero divisor, or a variance
-    that is not finite and > 0 (cancelled to 0, say)."""
-
-    @functools.wraps(closed_form)
-    def checked(*args):
-        try:
-            value = closed_form(*args)
-        except (OverflowError, ZeroDivisionError):
-            value = math.nan
-        if not (math.isfinite(value) and value > 0.0):
-            raise DomainError(f"{closed_form.__name__}{args} leaves float64")
-        return value
-
-    return checked
-
-
-@_in_float64
-def asv_gaussian(variance: float, snr_inv: float, omega: float) -> float:
-    """exp(s2 w^2)/(2 w^2) * [snr_inv + 1 - exp(-2 s2 w^2)] for Gaussian noise."""
-    omega = _check_omega(omega)
-    b = variance * omega ** 2
-    return math.exp(b) / (2.0 * omega ** 2) * (snr_inv + 1.0 - math.exp(-2.0 * b))
-
-
-@_in_float64
-def asv_cauchy(scale: float, snr_inv: float, omega: float) -> float:
-    """exp(2 g w)/(2 w^2) * [snr_inv + 1 - exp(-2 g w)] for Cauchy noise."""
-    omega = _check_omega(omega)
-    g = scale * omega
-    return math.exp(2.0 * g) / (2.0 * omega ** 2) * (snr_inv + 1.0 - math.exp(-2.0 * g))
-
-
-@_in_float64
-def asv_laplace(variance: float, snr_inv: float, omega: float) -> float:
-    """Laplace noise; with beta = b^2 w^2 (b^2 = s2/2) this is
-    b^2 (1+beta)^2/(2 beta) * [snr_inv + 4 beta/(1+4 beta)]."""
-    omega = _check_omega(omega)
-    beta = (variance / 2.0) * omega ** 2
-    return (
-        (1.0 + beta) ** 2
-        / (2.0 * omega ** 2)
-        * (snr_inv + 4.0 * beta / (1.0 + 4.0 * beta))
-    )
-
-
-@_in_float64
-def asv_uniform(variance: float, snr_inv: float, omega: float) -> float:
-    """Uniform noise on [-a, a], a = sqrt(3 s2):
-    a^2/(2 sin^2(w a)) * [snr_inv + 1 - sin(2 w a)/(2 w a)].
-
-    Undefined where sin(w a) = 0 (raises CfZeroError), e.g. at w = pi/a.
-    """
-    omega = _check_omega(omega)
-    a = math.sqrt(3.0 * variance)
-    x = omega * a
-    s = math.sin(x)
-    phi = 1.0 - x * x / 6.0 if abs(x) < 1e-4 else s / x
-    if abs(phi) <= CF_ZERO_TOL:
-        raise CfZeroError(f"uniform characteristic function vanishes at omega={omega}")
-    return a * a / (2.0 * s * s) * (snr_inv + 1.0 - math.sin(2.0 * x) / (2.0 * x))
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"the variance at omega={omega} leaves float64: {value}")
+    return float(value)
 
 
 def asv_small_omega(variance: float, excess_kurtosis: float, omega: float) -> float:
@@ -258,21 +207,14 @@ def fading_penalty(fading: FadingModel) -> float:
 
 def asv_on_grid(ctx: AsvContext, omegas: np.ndarray) -> np.ndarray:
     """Vectorized variance evaluation; +inf marks characteristic-function
-    zeros and values float64 cannot hold (overflowed, or cancelled to 0)
+    zeros, an underflowing denominator and values float64 cannot hold
     instead of raising, so grid scans can skip them."""
     omegas = np.asarray(omegas, dtype=float)
-    phi1 = np.asarray(ctx.noise.cf(omegas), dtype=float)
-    phi2 = np.asarray(ctx.noise.cf(2.0 * omegas), dtype=float)
-    bad = (np.abs(phi1) <= CF_ZERO_TOL) | (omegas <= 0.0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vals = (
-            ctx.fading_penalty
-            * (ctx.snr_inv + 1.0 - phi2)
-            / (2.0 * np.square(omegas) * np.square(phi1))
-        )
-    # NaN and values cancelled to 0 fail "> 0" and join overflows at +inf
-    vals = np.where(bad | ~(vals > 0.0), np.inf, vals)
-    return vals
+    phi1, denominator, vals = _asv(ctx, omegas)
+    underflow = denominator < sys.float_info.min
+    bad = (np.abs(phi1) <= CF_ZERO_TOL) | underflow | (omegas <= 0.0)
+    # NaN fails "> 0" and joins overflows at +inf
+    return np.where(bad | ~(vals > 0.0), np.inf, vals)
 
 
 def default_omega_grid(theta_range: float, n_points: int = 2000) -> np.ndarray:

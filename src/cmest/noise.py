@@ -26,36 +26,7 @@ __all__ = [
     "HeterogeneousScaled",
     "BoundedScales",
     "LinearGrowthScales",
-    "class_a_mgf",
 ]
-
-
-def class_a_mgf(t: float, overlap: float, background_ratio: float, variance: float):
-    """Moment generating function of the Middleton Class-A variance mixture.
-
-    The mixture variable is X = variance * [Y/(A(T+1)) + T/(T+1)] with
-    Y ~ Poisson(A), where A is the impulsive overlap factor and T the
-    background-to-impulsive power ratio.  Then
-
-        M_X(t) = exp(t * variance * T/(T+1))
-                 * exp(A * (exp(t * variance / (A (T+1))) - 1)),
-
-    evaluated for t <= 0 only, where it lies in (0, 1].
-    """
-    if overlap <= 0.0:
-        raise DomainError(f"Class-A overlap factor must be > 0, got {overlap}")
-    if background_ratio < 0.0:
-        raise DomainError(
-            f"Class-A background ratio must be >= 0, got {background_ratio}"
-        )
-    t = np.asarray(t, dtype=float)
-    if np.any(t > 0.0):
-        raise DomainError("class_a_mgf is only evaluated at t <= 0")
-    a, big_t = overlap, background_ratio
-    out = np.exp(t * variance * big_t / (big_t + 1.0)) * np.exp(
-        a * np.expm1(t * variance / (a * (big_t + 1.0)))
-    )
-    return out if out.ndim else float(out)
 
 
 def _require_positive(what: str, value: float) -> None:
@@ -68,6 +39,12 @@ class NoiseModel:
 
     def cf(self, omega):
         """Characteristic function E[exp(j*omega*eta)], real by symmetry."""
+        raise UnsupportedModelError(
+            f"{type(self).__name__} has no single characteristic function"
+        )
+
+    def cf_complement(self, omega):
+        """1 - cf(omega), computed without cancelling as cf(omega) nears 1."""
         raise UnsupportedModelError(
             f"{type(self).__name__} has no single characteristic function"
         )
@@ -115,6 +92,9 @@ class Gaussian(NoiseModel):
     def cf(self, omega):
         return np.exp(-0.5 * self.variance_ * np.square(omega))
 
+    def cf_complement(self, omega):
+        return -np.expm1(-0.5 * self.variance_ * np.square(omega))
+
     def variance(self) -> float:
         return self.variance_
 
@@ -143,6 +123,10 @@ class Laplace(NoiseModel):
     def cf(self, omega):
         return 1.0 / (1.0 + (self.variance_ / 2.0) * np.square(omega))
 
+    def cf_complement(self, omega):
+        x = (self.variance_ / 2.0) * np.square(omega)
+        return x / (1.0 + x)
+
     def variance(self) -> float:
         return self.variance_
 
@@ -165,6 +149,9 @@ class Cauchy(NoiseModel):
     def cf(self, omega):
         return np.exp(-self.scale * np.abs(omega))
 
+    def cf_complement(self, omega):
+        return -np.expm1(-self.scale * np.abs(omega))
+
     def sample(self, rng, size=None, out=None, work=None):
         # Inversion: gamma * tan(pi (U - 1/2)).
         draw = rng.random(size, out=out)
@@ -173,6 +160,14 @@ class Cauchy(NoiseModel):
         draw = np.tan(draw, out=out)
         draw *= self.scale
         return draw
+
+
+#: Below this x = |omega| * a, the uniform 1 - sin(x)/x comes from its
+#: Taylor series: the subtraction would lose log10(6/x^2) digits.
+_SINC_SERIES_CUT = 0.5
+#: Taylor coefficients of 1 - sin(x)/x in x^2, (-1)^(k+1)/(2k+1)! for k = 7
+#: down to 1; the first term left out is below 1e-18 relative at the cut.
+_SINC_SERIES = tuple((-1) ** (k + 1) / math.factorial(2 * k + 1) for k in range(7, 0, -1))
 
 
 @dataclass(frozen=True)
@@ -199,6 +194,18 @@ class Uniform(NoiseModel):
         small = np.abs(x) < 1e-4
         safe = np.where(small, 1.0, x)
         out = np.where(small, 1.0 - x * x / 6.0, np.sin(safe) / safe)
+        return out if out.ndim else float(out)
+
+    def cf_complement(self, omega):
+        x = self.half_width * np.abs(np.asarray(omega, dtype=float))
+        # the series runs on x clamped below the cut, the quotient above it
+        x2 = np.square(np.minimum(x, _SINC_SERIES_CUT))
+        series = _SINC_SERIES[0] * x2  # Horner in x^2
+        for c in _SINC_SERIES[1:]:
+            series += c
+            series *= x2
+        safe = np.maximum(x, _SINC_SERIES_CUT)
+        out = np.where(x < _SINC_SERIES_CUT, series, 1.0 - np.sin(safe) / safe)
         return out if out.ndim else float(out)
 
     def variance(self) -> float:
@@ -302,9 +309,27 @@ class ClassA(NoiseModel):
             self.variance_ / (self.overlap * (self.background_ratio + 1.0))
         )
 
+    def _log_cf(self, omega):
+        """log of the cf: the log-MGF at t = -omega^2/2 of the mixture
+        variance X = variance * [Y/(A(T+1)) + T/(T+1)], Y ~ Poisson(A):
+
+            t * variance * T/(T+1) + A * expm1(t * variance / (A (T+1))).
+
+        Both variances are finite (checked at construction), so a huge one
+        only takes its product with t to -inf, where expm1 gives -1.
+        """
+        t = -0.5 * np.square(omega)
+        a, big_t = self.overlap, self.background_ratio
+        background = self.variance_ * (big_t / (big_t + 1.0))
+        impulsive = self.variance_ / (a * (big_t + 1.0))
+        with np.errstate(over="ignore"):
+            return t * background + a * np.expm1(t * impulsive)
+
     def cf(self, omega):
-        t = -0.5 * np.square(np.asarray(omega, dtype=float))
-        return class_a_mgf(t, self.overlap, self.background_ratio, self.variance_)
+        return np.exp(self._log_cf(omega))
+
+    def cf_complement(self, omega):
+        return -np.expm1(self._log_cf(omega))
 
     def variance(self) -> float:
         # E[X] = variance regardless of overlap/background split.

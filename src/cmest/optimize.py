@@ -4,7 +4,8 @@ Each solver minimizes the asymptotic variance over omega in
 (0, 2*pi/theta_range].  Gaussian, Cauchy, Laplace, and uniform noise admit
 closed or semi-closed stationarity equations; anything else (notably
 Class-A, whose variance curve can have several local minima) goes through a
-deterministic global grid scan refined by scan-and-zoom.
+deterministic global grid scan refined by scan-and-zoom.  Every solver
+reports the variance at its phase through the one formula in ``asv``.
 """
 
 import math
@@ -14,7 +15,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import asv
-from .errors import AllGridInvalidError, ConfigError, DomainError, RootNotFoundError
+from .errors import (
+    AllGridInvalidError,
+    CfZeroError,
+    ConfigError,
+    DomainError,
+    RootNotFoundError,
+)
 from .noise import Cauchy, Gaussian, Laplace, NoiseModel, Uniform
 from .specfun import lambert_w0
 
@@ -110,18 +117,31 @@ def _newton_polish(
 def _finish(
     omega_unc: float,
     theta_range: float,
-    asv_fn: Callable[[float], float],
+    ctx: asv.AsvContext,
     method: str,
     beta: Optional[float],
+    at_origin: bool = False,
 ) -> OmegaStar:
+    """The optimum clamped to 2*pi/theta_range, with its variance.  The
+    models with a closed form have no characteristic-function zero at their
+    optimum, so a phi within the zero tolerance there means a variance too
+    large to evaluate: a DomainError."""
     omega_max = 2.0 * math.pi / theta_range
     clamped = omega_unc >= omega_max
     omega = omega_max if clamped else omega_unc
+    try:
+        value = asv.asv_generic(ctx, omega)
+    except CfZeroError as exc:
+        raise DomainError(
+            f"phi(omega) <= {asv.CF_ZERO_TOL:g} at omega={omega}: the variance "
+            "is too large to evaluate"
+        ) from exc
     return OmegaStar(
         omega=omega,
-        asv_at_opt=asv_fn(omega),
+        asv_at_opt=value,
         method=method,
         clamped=clamped,
+        at_origin=at_origin,
         beta=beta,
     )
 
@@ -142,19 +162,10 @@ def omega_star_gaussian(
     snr_inv too small to move snr_inv + 1 off 1 in float64.
     """
     _check_args("variance", variance, snr_inv)
-
-    def value(w: float) -> float:
-        return asv.asv_gaussian(variance, snr_inv, w)
-
+    ctx = asv.AsvContext(Gaussian(variance), snr_inv)
     if snr_inv + 1.0 == 1.0:
         omega = asv.ORIGIN_FRACTION * 2.0 * math.pi / theta_range
-        return OmegaStar(
-            omega=omega,
-            asv_at_opt=value(omega),
-            method="gaussian-root",
-            at_origin=True,
-            beta=0.0,
-        )
+        return _finish(omega, theta_range, ctx, "gaussian-root", 0.0, at_origin=True)
 
     s1 = snr_inv + 1.0
 
@@ -168,7 +179,7 @@ def omega_star_gaussian(
     beta = _bisect(g, 1e-300, 1.0)
     beta = _newton_polish(g, dg, beta, 0.0, 1.0)
     omega_unc = math.sqrt(beta) / math.sqrt(variance)
-    return _finish(omega_unc, theta_range, value, "gaussian-root", beta)
+    return _finish(omega_unc, theta_range, ctx, "gaussian-root", beta)
 
 
 def omega_star_cauchy(scale: float, snr_inv: float, theta_range: float) -> OmegaStar:
@@ -185,11 +196,8 @@ def omega_star_cauchy(scale: float, snr_inv: float, theta_range: float) -> Omega
     if arg < -1.0 / math.e:  # cannot happen for snr_inv >= 0; guard regardless
         raise DomainError(f"Lambert argument {arg} below branch point")
     omega_unc = (2.0 + lambert_w0(arg)) / (2.0 * scale)
-
-    def value(w: float) -> float:
-        return asv.asv_cauchy(scale, snr_inv, w)
-
-    return _finish(omega_unc, theta_range, value, "cauchy-lambert", scale * omega_unc)
+    ctx = asv.AsvContext(Cauchy(scale), snr_inv)
+    return _finish(omega_unc, theta_range, ctx, "cauchy-lambert", scale * omega_unc)
 
 
 def omega_star_laplace(
@@ -221,11 +229,8 @@ def omega_star_laplace(
     beta = (c / (s + 1.0) + (25.0 * s + 4.0) / c + 2.0) / 12.0
     b = math.sqrt(variance / 2.0)
     omega_unc = math.sqrt(beta) / b
-
-    def value(w: float) -> float:
-        return asv.asv_laplace(variance, snr_inv, w)
-
-    return _finish(omega_unc, theta_range, value, "laplace-quartic", beta)
+    ctx = asv.AsvContext(Laplace(variance), snr_inv)
+    return _finish(omega_unc, theta_range, ctx, "laplace-quartic", beta)
 
 
 def omega_star_uniform(
@@ -263,11 +268,8 @@ def omega_star_uniform(
     beta = _newton_polish(u, du, beta, 0.0, math.pi)
     a = math.sqrt(3.0 * variance)
     omega_unc = beta / a
-
-    def value(w: float) -> float:
-        return asv.asv_uniform(variance, snr_inv, w)
-
-    return _finish(omega_unc, theta_range, value, "uniform-bisect", beta)
+    ctx = asv.AsvContext(Uniform(variance), snr_inv)
+    return _finish(omega_unc, theta_range, ctx, "uniform-bisect", beta)
 
 
 #: Evenly spaced points per zoom round of the numeric scan.

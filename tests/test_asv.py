@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,14 +9,10 @@ from cmest.asv import (
     AsvContext,
     AsvCurve,
     asv_af,
-    asv_cauchy,
-    asv_gaussian,
     asv_generic,
-    asv_laplace,
     asv_low_snr_gaussian,
     asv_on_grid,
     asv_small_omega,
-    asv_uniform,
     asv_upper_bound,
     default_omega_grid,
     fading_penalty,
@@ -24,8 +21,13 @@ from cmest.asv import (
 from cmest.channel import NoFading, RayleighFading, RiceanFading
 from cmest.errors import CfZeroError, ConfigError, DomainError
 from cmest.noise import Cauchy, ClassA, Gaussian, Laplace, Uniform
+from cmest.optimize import omega_star_gaussian, omega_star_numeric
 from cmest.specfun import ricean_fading_penalty
-from conftest import appendix_covariance
+from oracles import appendix_covariance, asv_reference
+
+
+def _asv(noise, snr_inv, omega):
+    return asv_generic(AsvContext(noise=noise, snr_inv=snr_inv), omega)
 
 
 def _class_a_mixture_cf(overlap, background_ratio, variance, omega):
@@ -42,7 +44,11 @@ def _class_a_mixture_cf(overlap, background_ratio, variance, omega):
 class TestGenericAgainstClosedForms:
     def test_gaussian_origin_limit(self):
         # variance tends to the sensing variance as the phase shrinks
-        assert asv_gaussian(1.0, 0.0, 1e-4) == pytest.approx(1.0, abs=1e-6)
+        assert _asv(Gaussian(1.0), 0.0, 1e-4) == pytest.approx(1.0, abs=1e-6)
+
+    def test_gaussian_keeps_its_digits_toward_the_origin(self):
+        # exactly 1 + w^4/6 + O(w^6): 1 - phi(2w) must not cancel
+        assert _asv(Gaussian(1.0), 0.0, 1e-9) == pytest.approx(1.0, rel=1e-15)
 
     def test_specialization_equivalence(self):
         rng = np.random.default_rng(31)
@@ -51,37 +57,42 @@ class TestGenericAgainstClosedForms:
             s2 = rng.uniform(0.25, 4.0)
             snr = rng.uniform(0.0, 5.0)
             w = omega_draw()
-            pairs = [
-                (asv_gaussian(s2, snr, w), Gaussian(s2)),
-                (asv_cauchy(math.sqrt(s2), snr, w), Cauchy(math.sqrt(s2))),
-                (asv_laplace(s2, snr, w), Laplace(s2)),
-            ]
+            models = (Gaussian(s2), Cauchy(math.sqrt(s2)), Laplace(s2))
             class_a = ClassA(overlap=0.5, background_ratio=0.2, variance_=s2)
             assert class_a.cf(w) == pytest.approx(
                 _class_a_mixture_cf(0.5, 0.2, s2, w), rel=1e-12
             ), (class_a, w)
+            for model in models:
+                ctx = AsvContext(noise=model, snr_inv=snr)
+                reference, _ = asv_reference(ctx, w)
+                assert asv_generic(ctx, w) == pytest.approx(float(reference), rel=1e-12), (
+                    model, w
+                )
             a = math.sqrt(3.0 * s2)
-            if abs(math.sin(w * a) / (w * a)) > 1e-9:
-                pairs.append((asv_uniform(s2, snr, w), Uniform(s2)))
-            for closed, model in pairs:
-                generic = asv_generic(AsvContext(noise=model, snr_inv=snr), w)
-                assert closed == pytest.approx(generic, rel=1e-12), (model, w)
+            phi = math.sin(w * a) / (w * a)
+            if abs(phi) > 1e-9:
+                # float64 rounds a = sqrt(3 s2) and w*a (2.2e-16 relative in
+                # all); the variance, ~ 1/phi(w)^2, amplifies that by about
+                # 2/|phi(w)| near a zero
+                ctx = AsvContext(noise=Uniform(s2), snr_inv=snr)
+                reference, _ = asv_reference(ctx, w)
+                assert asv_generic(ctx, w) == pytest.approx(
+                    float(reference), rel=1e-12 + 1e-15 / abs(phi)
+                ), (ctx.noise, w)
 
     def test_gaussian_never_beats_its_variance_at_zero_snr(self):
         # zero excess kurtosis: the origin limit is also the infimum
         for w in np.linspace(0.01, 3.0, 300):
-            assert asv_gaussian(1.0, 0.0, w) > 1.0
+            assert _asv(Gaussian(1.0), 0.0, w) > 1.0
 
     def test_uniform_cf_zero_raises(self):
         a = math.sqrt(3.0)
-        with pytest.raises(CfZeroError):
-            asv_uniform(1.0, 0.1, math.pi / a)
         with pytest.raises(CfZeroError):
             asv_generic(AsvContext(noise=Uniform(1.0), snr_inv=0.1), math.pi / a)
 
     def test_nonpositive_omega_rejected(self):
         with pytest.raises(DomainError):
-            asv_gaussian(1.0, 0.1, 0.0)
+            _asv(Gaussian(1.0), 0.1, 0.0)
 
     def test_underflowing_omega_is_a_domain_error(self):
         # 2*omega^2*phi^2 underflows to 0 below about 1e-162: a domain error
@@ -92,19 +103,27 @@ class TestGenericAgainstClosedForms:
         assert math.isfinite(asv_generic(ctx, 1e-150))
 
     @pytest.mark.parametrize(
-        "closed_form, args",
+        "noise, snr_inv, omega, error",
         [
-            (asv_gaussian, (1e12, 0.0, 1.0)),  # exp overflows
-            (asv_gaussian, (1.0, 0.1, 1e-200)),  # 2 w^2 underflows to 0
-            (asv_cauchy, (1.0, 0.1, 1e-200)),
-            (asv_laplace, (1.0, 0.1, 1e-200)),
-            (asv_uniform, (1.0, 0.1, 1e-200)),
-            (asv_gaussian, (1.0, 0.0, 1e-9)),  # 1 - phi(2w) cancels to 0
+            # phi(w) underflows to 0: a cf zero to the generic form (the
+            # phase optimizers report it as a DomainError)
+            (Gaussian(1e12), 0.0, 1.0, CfZeroError),
+            (Gaussian(1.0), 0.1, 1e-200, DomainError),  # 2 w^2 underflows to 0
+            (Cauchy(1.0), 0.1, 1e-200, DomainError),
+            (Laplace(1.0), 0.1, 1e-200, DomainError),
+            (Uniform(1.0), 0.1, 1e-200, DomainError),
+        ],
+        ids=[
+            "asv_generic-gaussian-phi",
+            "asv_generic-gaussian-omega",
+            "asv_generic-cauchy-omega",
+            "asv_generic-laplace-omega",
+            "asv_generic-uniform-omega",
         ],
     )
-    def test_closed_forms_beyond_float64_are_domain_errors(self, closed_form, args):
-        with pytest.raises(DomainError):
-            closed_form(*args)
+    def test_closed_forms_beyond_float64_are_domain_errors(self, noise, snr_inv, omega, error):
+        with pytest.raises(error):
+            _asv(noise, snr_inv, omega)
 
     def test_fading_penalty_scales_generic(self):
         base = asv_generic(AsvContext(noise=Gaussian(1.0), snr_inv=0.1), 0.4)
@@ -113,6 +132,58 @@ class TestGenericAgainstClosedForms:
             0.4,
         )
         assert scaled == pytest.approx(base * 4.0 / math.pi, rel=1e-14)
+
+
+#: Models of the reference comparison, on omega up to 1.  Uniform(4.0) has
+#: its first characteristic-function zero at 0.907, between two grid points.
+REFERENCE_MODELS = [
+    Gaussian(1.0),
+    Gaussian(3.0),
+    Cauchy(1.0),
+    Laplace(1.0),
+    Uniform(1.0),
+    Uniform(4.0),
+    ClassA(0.5, 0.1, 1.0),
+    ClassA(0.01, 0.001, 1.0),
+]
+
+
+class TestAgainstMpmathReference:
+    @pytest.mark.parametrize("snr_inv", [0.0, 0.1])
+    @pytest.mark.parametrize("noise", REFERENCE_MODELS, ids=repr)
+    def test_relative_error_from_the_origin_to_omega_max(self, noise, snr_inv):
+        # log-spaced down to 1e-150, and past it into the underflow of
+        # 2 w^2 phi(w)^2 (below about 1e-154), where both evaluators must
+        # refuse instead of returning a value that has lost its digits
+        ctx = AsvContext(noise=noise, snr_inv=snr_inv)
+        omegas = np.geomspace(1e-200, 1.0, 401)
+        grid = asv_on_grid(ctx, omegas)
+        compared = 0
+        for w, on_grid in zip(omegas.tolist(), grid.tolist()):
+            reference, denominator = asv_reference(ctx, w)
+            if denominator < sys.float_info.min:
+                assert on_grid == math.inf, w
+                with pytest.raises(DomainError, match="underflow"):
+                    asv_generic(ctx, w)
+                continue
+            compared += 1
+            assert abs(asv_generic(ctx, w) / reference - 1) <= 1e-14, w
+            assert abs(on_grid / reference - 1) <= 1e-14, w
+        assert compared >= 300
+
+    def test_class_a_optimum_is_not_cancellation_noise(self):
+        # the small-phase expansion keeps this curve within 4e-5 of 1 on
+        # (0, 2 pi / 1263]; a numerator that cancels made a false minimum of
+        # 0.646 near w = 1e-8
+        ctx = AsvContext(noise=ClassA(0.5, 0.1, 1.0))
+        star = omega_star_numeric(ctx.noise, 0.0, 1263.0)
+        assert star.clamped and star.omega == 2.0 * math.pi / 1263.0
+        reference, _ = asv_reference(ctx, star.omega)
+        assert abs(star.asv_at_opt / reference - 1) <= 1e-14
+
+    def test_gaussian_at_origin_optimum_is_not_below_its_infimum(self):
+        # the infimum over omega is the variance itself
+        assert omega_star_gaussian(1.0, 0.0, 4.0).asv_at_opt >= 1.0
 
 
 class TestSmallOmegaExpansion:
@@ -124,18 +195,18 @@ class TestSmallOmegaExpansion:
         assert asv_small_omega(1.0, 3.0, 0.1) == pytest.approx(0.99)
 
     def test_laplace_curvature(self):
-        got = (asv_laplace(1.0, 0.0, 0.01) - 1.0) / 0.01 ** 2
+        got = (_asv(Laplace(1.0), 0.0, 0.01) - 1.0) / 0.01 ** 2
         assert got == pytest.approx(-1.0, rel=0.02)
 
     def test_uniform_curvature(self):
-        got = (asv_uniform(1.0, 0.0, 0.01) - 1.0) / 0.01 ** 2
+        got = (_asv(Uniform(1.0), 0.0, 0.01) - 1.0) / 0.01 ** 2
         assert got == pytest.approx(0.4, rel=0.02)
 
     def test_remainder_is_higher_order(self):
         # |AsV - quadratic| / w^2 must itself vanish as w -> 0
         omegas = [0.1, 0.05, 0.02, 0.01]
         r = [
-            abs(asv_laplace(1.0, 0.0, w) - asv_small_omega(1.0, 3.0, w)) / w ** 2
+            abs(_asv(Laplace(1.0), 0.0, w) - asv_small_omega(1.0, 3.0, w)) / w ** 2
             for w in omegas
         ]
         assert all(a > b for a, b in zip(r, r[1:]))
@@ -179,7 +250,7 @@ class TestLowSnrGaussian:
     def test_is_gaussian_curve_at_inverse_sigma(self):
         for s2, snr in [(1.0, 0.0), (2.0, 0.3), (0.5, 4.0)]:
             assert asv_low_snr_gaussian(s2, snr) == pytest.approx(
-                asv_gaussian(s2, snr, 1.0 / math.sqrt(s2)), rel=1e-13
+                _asv(Gaussian(s2), snr, 1.0 / math.sqrt(s2)), rel=1e-13
             )
 
     def test_value_at_unit_variance(self):
@@ -261,8 +332,16 @@ class TestCurveShape:
         # (w*a <= pi/2, where sin(2*w*a) >= 0); together with the blow-up at
         # the lobe edge this is what confines the optimum to the first lobe
         a = math.sqrt(3.0)
-        for w in np.linspace(0.05, (math.pi / 2.0) / a, 10):
-            assert asv_uniform(1.0, 0.1, w) <= asv_uniform(1.0, 0.1, w + math.pi / a)
+        ws = np.linspace(0.05, (math.pi / 2.0) / a, 10)
+        for w in ws[:-1]:
+            assert _asv(Uniform(1.0), 0.1, w) <= _asv(Uniform(1.0), 0.1, w + math.pi / a)
+        # at the last point, w*a = pi/2, the two are equal (sin(2*w*a) = 0)
+        # and float64 rounding decides their order: each must match the
+        # reference instead
+        ctx = AsvContext(noise=Uniform(1.0), snr_inv=0.1)
+        for w in (ws[-1], ws[-1] + math.pi / a):
+            reference, _ = asv_reference(ctx, w)
+            assert _asv(Uniform(1.0), 0.1, w) == pytest.approx(float(reference), rel=1e-14)
 
     def test_uniform_first_lobe_minimum_is_global(self):
         # the stationary point of the first lobe undercuts everything beyond
@@ -294,9 +373,9 @@ class TestCurveShape:
         )
         assert np.isinf(vals[1])
         assert np.isfinite(vals[[0, 2]]).all()
-        # a variance cancelled to 0 (1 - phi(2w) at tiny w) is no minimum
+        # toward the origin 1 - phi(2w) keeps its digits: 1 + w^4/6 + O(w^6)
         vals = asv_on_grid(AsvContext(noise=Gaussian(1.0)), np.array([1e-9, 0.5]))
-        assert np.isinf(vals[0]) and np.isfinite(vals[1])
+        assert vals[0] == pytest.approx(1.0, rel=1e-15) and np.isfinite(vals[1])
 
 
 class TestFadingPenalty:

@@ -397,10 +397,11 @@ class TestAsvCurve:
         ) == 0
         payload = json.loads(out.read_text())
         vals = [r["analytic_asv"] for r in payload["records"]]
-        from cmest.asv import asv_gaussian
+        from cmest.asv import AsvContext, asv_generic
+        from cmest.noise import Gaussian
 
         assert vals[0] == pytest.approx(
-            asv_gaussian(1.0, 0.1, 0.3) * 4.0 / math.pi, rel=1e-12
+            asv_generic(AsvContext(Gaussian(1.0), 0.1), 0.3) * 4.0 / math.pi, rel=1e-12
         )
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -141,7 +141,7 @@ class TestConsistency:
         assert _mse(model, omega, 10_000, 300, seed=55) < 0.01
 
     def test_asymptotic_normality_of_standardized_errors(self):
-        from cmest.asv import asv_gaussian
+        from cmest.asv import AsvContext, asv_generic
 
         L, trials = 500, 100_000
         omega = optimize.omega_star_gaussian(1.0, 0.1, 12.0).omega
@@ -149,7 +149,7 @@ class TestConsistency:
         rng = np.random.default_rng(7)
         y = cm_snapshot_batch(cfg, trials, rng)
         errs = cm_estimates(y, L, omega, cfg.power) - 2.0
-        z = math.sqrt(L) * errs / math.sqrt(asv_gaussian(1.0, 0.1, omega))
+        z = math.sqrt(L) * errs / math.sqrt(asv_generic(AsvContext(Gaussian(1.0), 0.1), omega))
         kurt = np.mean(z ** 4) / np.mean(z ** 2) ** 2
         assert abs(z.mean()) < 3.5 / math.sqrt(trials)
         assert 2.8 < kurt < 3.2

@@ -183,7 +183,7 @@ class TestRunExperiment:
         )
         rec = run_kind(spec)["cm"].records[0]
         assert rec.analytic_asv == pytest.approx(
-            asv.asv_gaussian(1.0, 0.0, 0.4), rel=1e-12
+            asv.asv_generic(asv.AsvContext(Gaussian(1.0), 0.0), 0.4), rel=1e-12
         )
 
     def test_kind_and_sweep_must_agree(self):

@@ -1,12 +1,13 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmest import noise
+from cmest import asv, noise
 from cmest.errors import DomainError, MomentUndefinedError, UnsupportedModelError
 from cmest.noise import (
     BoundedScales,
@@ -18,7 +19,6 @@ from cmest.noise import (
     LinearGrowthScales,
     NoiseModel,
     Uniform,
-    class_a_mgf,
 )
 
 ALL_IID_MODELS = [
@@ -77,6 +77,34 @@ class TestCharacteristicFunctions:
         het = HeterogeneousScaled(Gaussian(1.0), BoundedScales(1.0))
         with pytest.raises(UnsupportedModelError):
             het.cf(0.5)
+        with pytest.raises(UnsupportedModelError):
+            het.cf_complement(0.5)
+
+    @pytest.mark.parametrize("model", ALL_IID_MODELS)
+    def test_complement_is_one_minus_cf(self, model):
+        # away from the origin, where 1 - cf(w) does not cancel
+        omegas = np.linspace(0.5, 50.0, 2001)
+        got = model.cf_complement(omegas)
+        np.testing.assert_allclose(got, 1.0 - model.cf(omegas), rtol=0.0, atol=5e-16)
+        assert model.cf_complement(0.5) == got[0]
+
+    @pytest.mark.parametrize("model", ALL_IID_MODELS)
+    def test_complement_keeps_its_digits_at_the_origin(self, model):
+        # 1 - phi(w) ~ variance w^2 / 2 (Cauchy: scale w), where 1 - cf(w)
+        # is 0 in float64
+        w = 1e-10
+        leading = model.scale * w if isinstance(model, Cauchy) else model.variance() * w * w / 2
+        assert model.cf_complement(w) == pytest.approx(leading, rel=1e-9)
+
+    def test_uniform_complement_across_its_series_cut(self):
+        # 1 - sin(x)/x: a Taylor series below x = 0.5, the subtraction above
+        u = Uniform(variance_=2.0)
+        omegas = np.linspace(0.3, 0.8, 101) / u.half_width
+        got = u.cf_complement(omegas)
+        with mpmath.workdps(40):
+            for x, g in zip(u.half_width * omegas, got):  # x as the model rounds it
+                exact = 1 - mpmath.sin(mpmath.mpf(x)) / x
+                assert abs(g / exact - 1) <= 5e-15, x
 
     @pytest.mark.parametrize("model", FINITE_VARIANCE_MODELS)
     def test_finite_variance_lower_bound(self, model):
@@ -93,26 +121,26 @@ class TestCharacteristicFunctions:
 
 
 class TestClassAMgf:
-    def test_origin(self):
-        assert class_a_mgf(0.0, 0.1, 0.0, 3.0) == 1.0
+    """The Class-A cf is the mixture variance's MGF at t = -omega^2/2."""
 
-    def test_positive_argument_rejected(self):
-        with pytest.raises(DomainError):
-            class_a_mgf(0.1, 0.1, 0.0, 3.0)
+    def test_origin(self):
+        assert ClassA(0.1, 0.0, 3.0).cf(0.0) == 1.0
+        assert ClassA(0.1, 0.0, 3.0).cf_complement(0.0) == 0.0
 
     @pytest.mark.parametrize("overlap,background", [(0.0, 0.1), (-1.0, 0.1), (0.1, -0.2)])
     def test_parameter_domain(self, overlap, background):
         with pytest.raises(DomainError):
-            class_a_mgf(-1.0, overlap, background, 3.0)
+            ClassA(overlap, background, 3.0)
 
     def test_gaussian_limit_large_overlap(self):
         # Poisson mass concentrates, the mixture collapses to variance itself
-        got = class_a_mgf(-0.5, 1e4, 1.0, 1.0)
+        got = ClassA(1e4, 1.0, 1.0).cf(1.0)
         assert got == pytest.approx(math.exp(-0.5), abs=1e-3)
 
     def test_against_truncated_poisson_average(self):
         # independent oracle: E[exp(t X)] over the exact Poisson pmf
-        t, overlap, background, variance = -1.0, 0.1, 0.0, 3.0
+        omega, overlap, background, variance = 1.3, 0.1, 0.0, 3.0
+        t = -0.5 * omega ** 2
         pmf = math.exp(-overlap)
         total = 0.0
         k = 0
@@ -123,9 +151,18 @@ class TestClassAMgf:
             mass += pmf
             k += 1
             pmf *= overlap / k
-        assert class_a_mgf(t, overlap, background, variance) == pytest.approx(
-            total, rel=1e-12
-        )
+        model = ClassA(overlap, background, variance)
+        assert model.cf(omega) == pytest.approx(total, rel=1e-12)
+        assert model.cf_complement(omega) == pytest.approx(1.0 - total, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_variance_leaves_the_poisson_mass_at_zero(self):
+        # every impulse drives its Gaussian's cf to 0, so phi = P(no impulse)
+        model = ClassA(1.0, 0.0, 1e308)
+        assert model.cf(2.0) == math.exp(-1.0)
+        assert model.cf_complement(2.0) == -math.expm1(-1.0)
+        vals = asv.asv_on_grid(asv.AsvContext(noise=model), np.array([1e-200, 0.5, 2.0]))
+        assert vals[0] == math.inf and np.isfinite(vals[1:]).all()
 
 
 class TestMoments:

@@ -16,7 +16,7 @@ from cmest.optimize import (
     omega_star_uniform,
 )
 
-from conftest import grid_argmin
+from oracles import grid_argmin
 
 
 def _central_second_difference(f, x, h):
@@ -285,28 +285,19 @@ class TestDispatch:
 
 class TestOptimalityProperties:
     @pytest.mark.parametrize(
-        "star,value",
+        "star,noise",
         [
-            (
-                omega_star_gaussian(1.0, 0.1, 4.0),
-                lambda w: asv.asv_gaussian(1.0, 0.1, w),
-            ),
-            (
-                omega_star_cauchy(1.0, 0.1, 4.0),
-                lambda w: asv.asv_cauchy(1.0, 0.1, w),
-            ),
-            (
-                omega_star_laplace(1.0, 0.1, 4.0),
-                lambda w: asv.asv_laplace(1.0, 0.1, w),
-            ),
-            (
-                omega_star_uniform(1.0, 0.1, 4.0),
-                lambda w: asv.asv_uniform(1.0, 0.1, w),
-            ),
+            (omega_star_gaussian(1.0, 0.1, 4.0), Gaussian(1.0)),
+            (omega_star_cauchy(1.0, 0.1, 4.0), Cauchy(1.0)),
+            (omega_star_laplace(1.0, 0.1, 4.0), Laplace(1.0)),
+            (omega_star_uniform(1.0, 0.1, 4.0), Uniform(1.0)),
         ],
         ids=["gaussian", "cauchy", "laplace", "uniform"],
     )
-    def test_unclamped_optima_have_positive_curvature(self, star, value):
+    def test_unclamped_optima_have_positive_curvature(self, star, noise):
+        def value(w):
+            return asv.asv_generic(AsvContext(noise, 0.1), w)
+
         assert not star.clamped
         h = 1e-4 * star.omega
         first = (value(star.omega + h) - value(star.omega - h)) / (2.0 * h)
@@ -317,10 +308,8 @@ class TestOptimalityProperties:
         star = omega_star_gaussian(1.0, 0.1, 12.0)
         assert star.clamped
         h = 1e-6
-        slope = (
-            asv.asv_gaussian(1.0, 0.1, star.omega) -
-            asv.asv_gaussian(1.0, 0.1, star.omega - h)
-        ) / h
+        ctx = AsvContext(Gaussian(1.0), 0.1)
+        slope = (asv.asv_generic(ctx, star.omega) - asv.asv_generic(ctx, star.omega - h)) / h
         assert slope <= 0.0
 
     def test_fading_does_not_move_the_optimum(self):
