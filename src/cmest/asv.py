@@ -60,8 +60,8 @@ class AsvContext:
     fading_penalty: float = 1.0
 
     def __post_init__(self):
-        if self.snr_inv < 0.0:
-            raise ConfigError(f"snr_inv must be >= 0, got {self.snr_inv}")
+        if not (math.isfinite(self.snr_inv) and self.snr_inv >= 0.0):
+            raise ConfigError(f"snr_inv must be finite and >= 0, got {self.snr_inv}")
         if self.fading_penalty < 1.0:
             raise ConfigError(
                 f"fading penalty must be >= 1, got {self.fading_penalty}"
@@ -70,22 +70,12 @@ class AsvContext:
 
 @dataclass(frozen=True)
 class AsvCurve:
-    """Asymptotic variance sampled on an ascending transmit-phase grid."""
+    """Asymptotic variance sampled on a transmit-phase grid.  The grid is
+    positive and strictly increasing, as checked where it is read; every
+    value is finite and > 0, as checked where it is computed."""
 
     omegas: np.ndarray
     values: np.ndarray
-
-    def __post_init__(self):
-        om = np.asarray(self.omegas, dtype=float)
-        va = np.asarray(self.values, dtype=float)
-        if om.ndim != 1 or om.shape != va.shape:
-            raise ConfigError("curve grid and values must be 1-d and equal length")
-        if not np.all(np.diff(om) > 0.0):
-            raise ConfigError("curve grid must be strictly increasing")
-        if not np.all(va > 0.0):
-            raise ConfigError("curve values must all be positive")
-        object.__setattr__(self, "omegas", om)
-        object.__setattr__(self, "values", va)
 
 
 def _check_omega(omega: float) -> float:

@@ -113,8 +113,9 @@ class RiceanFading:
     k_factor: float
 
     def __post_init__(self):
-        if not self.k_factor >= 0.0:
-            raise ConfigError(f"Ricean K factor must be >= 0, got {self.k_factor}")
+        # the fading penalty needs 1F1(3/2; 1; K), which overflows from K = 707
+        if not 0.0 <= self.k_factor <= 700.0:
+            raise ConfigError(f"Ricean K factor must lie in [0, 700], got {self.k_factor}")
 
     def sample_gains(self, rng, size, out=None, work=None):
         """Gains of shape ``size``, written into ``out`` when given.
@@ -297,13 +298,10 @@ def af_gain(config: NetworkConfig, nominal_variance: float) -> float:
     supplies the nominal sensing-noise variance because the true average
     power is undefined for infinite-variance noise, which is still simulated
     with a nominal calibration.  The true theta enters the calibration.
+
+    Preconditions, checked where an experiment's AF track is planned:
+    ``config.power`` is a ``TotalPower`` budget and ``nominal_variance`` > 0.
     """
-    if not isinstance(config.power, TotalPower):
-        raise ConfigError("amplify-and-forward is defined under a total power budget")
-    if nominal_variance <= 0.0:
-        raise ConfigError(
-            f"nominal variance must be > 0 for AF gain, got {nominal_variance}"
-        )
     L = config.n_sensors
     return math.sqrt(
         config.power.p_t / (L * (config.theta ** 2 + nominal_variance))
@@ -320,10 +318,9 @@ def af_snapshot_batch(
 
     y = alpha_L * sum_i (theta + eta_i) + v.  Per-sensor instantaneous power
     alpha_L^2 (theta + eta_i)^2 is a random variable, unbounded for
-    heavy-tailed noise; only its average is constrained.
+    heavy-tailed noise; only its average is constrained.  ``af_gain``'s
+    preconditions apply, and fading is not modeled (AF plans refuse it).
     """
-    if not isinstance(config.fading, NoFading):
-        raise ConfigError("fading is not modeled for the AF baseline")
     alpha = af_gain(config, nominal_variance)
     L = config.n_sensors
     sums = np.empty(n_trials)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import asv, harness, optimize, presets
-from .errors import NUMERIC_ERRORS, CfZeroError, ConfigError
+from .errors import CfZeroError, CmestError, ConfigError
 from .harness import (
     ExperimentResult,
     SweepRecord,
@@ -152,6 +152,13 @@ def _curve_result(cfg: dict) -> ExperimentResult:
     )
     if "omegas" in cfg:
         omegas = np.array(harness._number_list(cfg["omegas"], "omegas"))
+        rising = np.diff(omegas, prepend=0.0) > 0.0
+        if not rising.all():
+            i = int(np.argmin(rising))  # the first value not above its predecessor
+            raise ConfigError(
+                "omegas must be > 0 and strictly increasing, got "
+                f"{float(omegas[i])!r} at position {i}"
+            )
         values = asv.asv_on_grid(ctx, omegas)
         if not np.all(np.isfinite(values)):
             raise CfZeroError(
@@ -313,14 +320,15 @@ def _run_command(args) -> int:
 
 
 def report_errors(run, args) -> int:
-    """``run(args)``'s exit code, or 2 for a ConfigError and 3 for a numeric
-    error, reported on stderr: the exit contract of every cmest entry point."""
+    """``run(args)``'s exit code, or 2 for a ConfigError and 3 for any other
+    cmest error, reported on stderr: the exit contract of every cmest entry
+    point."""
     try:
         return run(args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return _EXIT_CONFIG
-    except NUMERIC_ERRORS as exc:
+    except CmestError as exc:
         sys.stderr.write(f"numeric error: {type(exc).__name__}: {exc}\n")
         return _EXIT_NUMERIC
 

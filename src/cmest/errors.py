@@ -40,14 +40,3 @@ class RootNotFoundError(CmestError, RuntimeError):
 class AllGridInvalidError(CmestError, RuntimeError):
     """Every candidate grid point hit a characteristic-function zero."""
 
-
-#: Errors the CLI reports as numeric/domain failures (exit code 3).
-NUMERIC_ERRORS = (
-    DomainError,
-    NonConvergenceError,
-    MomentUndefinedError,
-    UnsupportedModelError,
-    CfZeroError,
-    RootNotFoundError,
-    AllGridInvalidError,
-)

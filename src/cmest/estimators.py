@@ -35,7 +35,9 @@ def cm_estimates(
     y = np.asarray(y)
     scale = math.sqrt(n_sensors) if isinstance(power, TotalPower) else float(n_sensors)
     z = y / scale
-    est = np.mod(np.angle(z), _TWO_PI) / omega
+    wrapped = np.mod(np.angle(z), _TWO_PI)
+    # a negative angle above about -4.4e-16 wraps to 2*pi itself, not below it
+    est = np.where(wrapped == _TWO_PI, 0.0, wrapped) / omega
     return np.where(np.abs(z) == 0.0, np.nan, est)
 
 

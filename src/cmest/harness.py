@@ -182,6 +182,10 @@ class ExperimentSpec:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"seed must be a 64-bit unsigned int, got {self.seed}")
+        if self.af_nominal_variance is not None and not self.af_nominal_variance > 0.0:
+            raise ConfigError(
+                f"nominal variance must be > 0 for AF gain, got {self.af_nominal_variance}"
+            )
 
 
 @dataclass(frozen=True)
@@ -307,8 +311,6 @@ def _analytic_cm(network: NetworkConfig) -> float:
 
 
 def _analytic_af(network: NetworkConfig) -> float:
-    if not isinstance(network.power, TotalPower):
-        return math.nan
     snr_inv = network.channel_noise_variance / network.power.p_t
     try:
         return asv.asv_af(network.theta, network.noise.variance(), snr_inv)
@@ -337,6 +339,12 @@ def _cm_plan(label: str, network: NetworkConfig, phase: int, trials: int) -> Tra
 
 
 def _af_plan(spec: ExperimentSpec, label: str, phase: int, trials: int) -> TrackPlan:
+    """An amplify-and-forward track; its power and fading are checked here,
+    before any track of the run is simulated."""
+    if not isinstance(spec.network.power, TotalPower):
+        raise ConfigError("amplify-and-forward is defined under a total power budget")
+    if not isinstance(spec.network.fading, NoFading):
+        raise ConfigError("fading is not modeled for the AF baseline")
     af_errors = _make_af_errors(_resolve_af_nominal_variance(spec))
     return TrackPlan(label, spec.network, af_errors, _analytic_af, phase, trials)
 

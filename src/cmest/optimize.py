@@ -46,10 +46,10 @@ class OmegaStar:
     """Result of a transmit-phase optimization.
 
     ``clamped`` marks an optimum pinned at the boundary 2*pi/theta_range;
-    ``at_origin`` marks the Gaussian zero-channel-noise degeneracy where the
-    optimum is an infimum at omega -> 0 (the sensing-noise variance) and the
-    smallest default grid point is returned so downstream experiments still
-    get a usable phase.
+    ``at_origin`` marks the Gaussian and uniform zero-channel-noise
+    degeneracy where the optimum is an infimum at omega -> 0 (the
+    sensing-noise variance) and the smallest default grid point is returned
+    so downstream experiments still get a usable phase.
     """
 
     omega: float
@@ -58,13 +58,6 @@ class OmegaStar:
     clamped: bool = False
     at_origin: bool = False
     beta: Optional[float] = None
-
-
-def _check_args(name: str, value: float, snr_inv: float) -> None:
-    if not value > 0.0:
-        raise DomainError(f"{name} must be > 0, got {value}")
-    if not snr_inv >= 0.0:
-        raise DomainError(f"snr_inv must be >= 0, got {snr_inv}")
 
 
 def _bisect(f: Callable[[float], float], lo: float, hi: float) -> float:
@@ -161,7 +154,6 @@ def omega_star_gaussian(
     default curve grid point is returned with ``at_origin`` set.  So does an
     snr_inv too small to move snr_inv + 1 off 1 in float64.
     """
-    _check_args("variance", variance, snr_inv)
     ctx = asv.AsvContext(Gaussian(variance), snr_inv)
     if snr_inv + 1.0 == 1.0:
         omega = asv.ORIGIN_FRACTION * 2.0 * math.pi / theta_range
@@ -191,12 +183,9 @@ def omega_star_cauchy(scale: float, snr_inv: float, theta_range: float) -> Omega
     always defined.  The other real branch would give 2 + W <= 0, i.e. a
     non-positive phase, which is infeasible.
     """
-    _check_args("scale", scale, snr_inv)
-    arg = -2.0 * math.exp(-2.0) / (snr_inv + 1.0)
-    if arg < -1.0 / math.e:  # cannot happen for snr_inv >= 0; guard regardless
-        raise DomainError(f"Lambert argument {arg} below branch point")
-    omega_unc = (2.0 + lambert_w0(arg)) / (2.0 * scale)
     ctx = asv.AsvContext(Cauchy(scale), snr_inv)
+    arg = -2.0 * math.exp(-2.0) / (snr_inv + 1.0)
+    omega_unc = (2.0 + lambert_w0(arg)) / (2.0 * scale)
     return _finish(omega_unc, theta_range, ctx, "cauchy-lambert", scale * omega_unc)
 
 
@@ -212,7 +201,7 @@ def omega_star_laplace(
     Then omega* = min(2 pi / theta_R, sqrt(beta*) / b) with b^2 = s2 / 2.
     At snr_inv = 0, c = 2 and beta* = 1/2 exactly.
     """
-    _check_args("variance", variance, snr_inv)
+    ctx = asv.AsvContext(Laplace(variance), snr_inv)
     s = snr_inv
     try:
         c = (
@@ -229,7 +218,6 @@ def omega_star_laplace(
     beta = (c / (s + 1.0) + (25.0 * s + 4.0) / c + 2.0) / 12.0
     b = math.sqrt(variance / 2.0)
     omega_unc = math.sqrt(beta) / b
-    ctx = asv.AsvContext(Laplace(variance), snr_inv)
     return _finish(omega_unc, theta_range, ctx, "laplace-quartic", beta)
 
 
@@ -244,8 +232,16 @@ def omega_star_uniform(
     then omega* = min(2 pi / theta_R, beta* / a).  Periodicity confines the
     search to the first lobe (0, pi); the variance dominates its translates
     by k pi / a.  No closed form exists for the root.
+
+    At snr_inv = 0, or one too small to move snr_inv + 1 off 1 in float64,
+    the equation has no root in the lobe: the excess kurtosis is negative,
+    so the variance only grows away from the origin, and the infimum (the
+    noise variance) is reported as for the Gaussian, with ``at_origin`` set.
     """
-    _check_args("variance", variance, snr_inv)
+    ctx = asv.AsvContext(Uniform(variance), snr_inv)
+    if snr_inv + 1.0 == 1.0:
+        omega = asv.ORIGIN_FRACTION * 2.0 * math.pi / theta_range
+        return _finish(omega, theta_range, ctx, "uniform-bisect", 0.0, at_origin=True)
     s1 = snr_inv + 1.0
 
     def u(beta: float) -> float:
@@ -268,7 +264,6 @@ def omega_star_uniform(
     beta = _newton_polish(u, du, beta, 0.0, math.pi)
     a = math.sqrt(3.0 * variance)
     omega_unc = beta / a
-    ctx = asv.AsvContext(Uniform(variance), snr_inv)
     return _finish(omega_unc, theta_range, ctx, "uniform-bisect", beta)
 
 

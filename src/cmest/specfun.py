@@ -107,11 +107,10 @@ def ricean_fading_penalty(k_factor: float) -> float:
     mean amplitude Gamma(3/2) * exp(-K) * 1F1(3/2; 1; K) / sqrt(K+1), so the
     penalty is (K+1) / (Gamma(3/2) * exp(-K) * 1F1(3/2; 1; K))^2.  It equals
     4/pi at K = 0 (Rayleigh) and decreases monotonically to 1 as the channel
-    hardens (K -> infinity).
+    hardens (K -> infinity).  K is taken as ``RiceanFading`` checked it: in
+    [0, 700], below the overflow of 1F1 at K = 707.
     """
     k = float(k_factor)
-    if k < 0.0:
-        raise DomainError(f"Ricean K factor must be >= 0, got {k}")
     mean_amp = _GAMMA_3_2 * math.exp(-k) * hyp1f1(1.5, 1.0, k) / math.sqrt(k + 1.0)
     return 1.0 / (mean_amp * mean_amp)
 

@@ -7,6 +7,7 @@ seeds are fixed, so outcomes are reproducible bit for bit.
 """
 
 import math
+import os
 
 import numpy as np
 
@@ -32,6 +33,9 @@ from oracles import appendix_covariance
 from test_specfun import _kummer_oracle
 
 SEED = 976321
+#: Workers for the three largest runs: results do not depend on the thread
+#: count (tests/test_harness.py checks that), so they use every core.
+ALL_CORES = os.cpu_count() or 1
 
 
 def _report(num: int, description: str, ok: bool, detail: str = ""):
@@ -76,7 +80,7 @@ def test_criterion_01_total_power_analytic_vs_simulation():
         spec = _nv_spec(
             noise, omegas, power=TotalPower(10.0), theta_range=12.0, trials=200_000
         )
-        result = run_kind(spec)["cm"]
+        result = run_kind(spec, threads=ALL_CORES)["cm"]
         for rec in result.records:
             assert rec.analytic_asv <= 10.0, (name, rec.sweep_value, rec.analytic_asv)
             rel = abs(rec.normalized_variance / rec.analytic_asv - 1.0)
@@ -104,7 +108,7 @@ def test_criterion_02_per_sensor_regime_and_small_phase_inflation():
         spec = _nv_spec(
             noise, omegas, power=PerSensorPower(1.0), theta_range=4.0, trials=100_000
         )
-        result = run_kind(spec)["cm"]
+        result = run_kind(spec, threads=ALL_CORES)["cm"]
         for rec in result.records:
             rel = abs(rec.normalized_variance / rec.analytic_asv - 1.0)
             if rel > worst:
@@ -117,7 +121,7 @@ def test_criterion_02_per_sensor_regime_and_small_phase_inflation():
         Gaussian(1.0), [0.02], power=PerSensorPower(1.0), theta_range=4.0,
         n_sensors=50, trials=20_000,
     )
-    rec = run_kind(spec)["cm"].records[0]
+    rec = run_kind(spec, threads=ALL_CORES)["cm"].records[0]
     inflation = rec.normalized_variance / rec.analytic_asv
     ok_inflation = inflation >= 2.0
 
@@ -281,7 +285,7 @@ def _fading_ratio(fading, trials=100_000):
         trials=trials,
         seed=SEED + 7,
     )
-    tracks = run_kind(spec)
+    tracks = run_kind(spec, threads=ALL_CORES)
     return tracks["faded"].metadata["measured_ratio_by_point"][0]
 
 

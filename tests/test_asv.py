@@ -7,7 +7,6 @@ import pytest
 from cmest import asv
 from cmest.asv import (
     AsvContext,
-    AsvCurve,
     asv_af,
     asv_generic,
     asv_low_snr_gaussian,
@@ -359,12 +358,6 @@ class TestCurveShape:
         assert np.all(curve.values > 0)
         assert len(curve.omegas) == 2000
 
-    def test_curve_validation(self):
-        with pytest.raises(ConfigError):
-            AsvCurve(omegas=np.array([0.2, 0.1]), values=np.array([1.0, 1.0]))
-        with pytest.raises(ConfigError):
-            AsvCurve(omegas=np.array([0.1, 0.2]), values=np.array([1.0, -1.0]))
-
     def test_grid_helper_marks_zeros_as_inf(self):
         a = math.sqrt(3.0)
         vals = asv_on_grid(
@@ -390,7 +383,8 @@ class TestFadingPenalty:
         )
 
     def test_context_validation(self):
-        with pytest.raises(ConfigError):
-            AsvContext(noise=Gaussian(1.0), snr_inv=-0.1)
+        for snr_inv in (-0.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match="snr_inv must be finite and >= 0"):
+                AsvContext(noise=Gaussian(1.0), snr_inv=snr_inv)
         with pytest.raises(ConfigError):
             AsvContext(noise=Gaussian(1.0), fading_penalty=0.5)

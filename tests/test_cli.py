@@ -190,6 +190,30 @@ class TestErrorPaths:
         p.write_text("{not json")
         assert main(["simulate", "--config", str(p)]) == 2
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("network", "power"), {"mode": "per-sensor", "rho": 1.0},
+             "amplify-and-forward is defined under a total power budget"),
+            (("network", "fading"), {"kind": "rayleigh"},
+             "fading is not modeled for the AF baseline"),
+            (("af_nominal_variance",), -1.0,
+             "nominal variance must be > 0 for AF gain, got -1.0"),
+        ],
+        ids=["per-sensor-power", "fading", "nominal-variance"],
+    )
+    def test_af_misconfiguration_is_config_error(self, tmp_path, capsys, path, value, message):
+        d = _tiny_spec_dict(kind="af-compare", sweep={"parameter": "theta", "values": [2.0]})
+        *parents, key = path
+        target = d
+        for p in parents:
+            target = target[p]
+        target[key] = value
+        cfg = _write_config(tmp_path, d)
+        assert main(["compare-af", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not list(tmp_path.glob("r*.csv"))
+
     def test_invalid_parameter_is_config_error(self, tmp_path):
         d = _tiny_spec_dict()
         d["network"]["noise"] = {"kind": "gaussian", "variance": -1.0}
@@ -525,7 +549,65 @@ class TestOptimizeOmega:
         assert main(["optimize-omega", "--config", cfg]) == 2
 
 
+#: One valid noise config per kind, for the analytic commands.
+_ANALYTIC_NOISES = [
+    {"kind": "gaussian", "variance": 1.0},
+    {"kind": "laplace", "variance": 2.0},
+    {"kind": "cauchy", "scale": 0.5},
+    {"kind": "uniform", "variance": 1.5},
+    {"kind": "class-a", "overlap": 0.5, "background_ratio": 0.1, "variance": 1.0},
+]
+
+
 class TestAnalyticConfigs:
+    @pytest.mark.parametrize("noise", _ANALYTIC_NOISES, ids=lambda n: n["kind"])
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("optimize-omega", {"method": "auto"}),
+            ("optimize-omega", {"method": "numeric"}),
+            ("asv-curve", {}),
+        ],
+        ids=["optimize-auto", "optimize-numeric", "asv-curve"],
+    )
+    def test_negative_snr_inv_is_config_error(self, tmp_path, capsys, command, extra, noise):
+        # a config error on every solver path, closed-form or scan
+        cfg = {"noise": noise, "theta_range": 12.0, "snr_inv": -1.0, **extra}
+        assert main([command, "--config", _write_config(tmp_path, cfg)]) == 2
+        assert "config error: snr_inv must be finite and >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "omegas, bad",
+        [([0.3, 0.2], "0.2 at position 1"), ([0.3, 0.3], "0.3 at position 1"),
+         ([0.0, 0.5], "0.0 at position 0"), ([-0.1], "-0.1 at position 0"),
+         ([0.1, 0.4, -0.2], "-0.2 at position 2")],
+    )
+    def test_omegas_must_be_positive_and_increasing(self, tmp_path, capsys, omegas, bad):
+        # checked as read, before any evaluation, so a non-positive omega is
+        # not reported as a characteristic-function zero
+        cfg = {"noise": {"kind": "gaussian", "variance": 1.0}, "theta_range": 12.0,
+               "omegas": omegas}
+        assert main(["asv-curve", "--config", _write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: omegas must be > 0 and strictly increasing, got {bad}\n"
+
+    def test_ricean_k_beyond_700_is_config_error(self, tmp_path, capsys):
+        # from K = 707 the fading penalty's 1F1 overflows float64
+        cfg = {"noise": {"kind": "gaussian", "variance": 1.0}, "theta_range": 12.0,
+               "n_points": 3, "fading": {"kind": "ricean", "k_factor": 700}}
+        assert main(["asv-curve", "--config", _write_config(tmp_path, cfg)]) == 0
+        capsys.readouterr()
+        for k in (701, 1000):
+            cfg["fading"]["k_factor"] = k
+            assert main(["asv-curve", "--config", _write_config(tmp_path, cfg)]) == 2
+            assert "config error: Ricean K factor must lie in [0, 700]" in (
+                capsys.readouterr().err
+            )
+        d = _tiny_spec_dict(kind="fading-compare", trials=4)
+        d["network"]["fading"] = {"kind": "ricean", "k_factor": 701}
+        assert main(["fading", "--config", _write_config(tmp_path, d)]) == 2
+        assert "config error: Ricean K factor" in capsys.readouterr().err
+
     @pytest.mark.parametrize("theta_range", [0, -12, 1e-320, "x"])
     @pytest.mark.parametrize(
         "command, grid",
@@ -1060,15 +1142,7 @@ _FUZZ_ANALYTIC = {
     "fading": _FUZZ_FADING,
     "method": st.sampled_from(["auto", "closed", "numeric", "newton", None, 3]),
 }
-_VALID_NOISE = st.sampled_from(
-    [
-        {"kind": "gaussian", "variance": 1.0},
-        {"kind": "laplace", "variance": 2.0},
-        {"kind": "cauchy", "scale": 0.5},
-        {"kind": "uniform", "variance": 1.5},
-        {"kind": "class-a", "overlap": 0.5, "background_ratio": 0.1, "variance": 1.0},
-    ]
-)
+_VALID_NOISE = st.sampled_from(_ANALYTIC_NOISES)
 _FUZZ_ANALYTIC_KEYS = {
     "asv-curve": ["noise", "theta_range", "snr_inv", "n_points", "omegas", "fading"],
     "optimize-omega": ["noise", "theta_range", "snr_inv", "method"],

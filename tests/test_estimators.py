@@ -53,6 +53,16 @@ class TestPhaseEstimator:
         a, b = cm_estimates(np.array([y, c * y]), 100, 0.5, TotalPower(10.0))
         assert a == pytest.approx(b, rel=1e-9, abs=1e-9)
 
+    @pytest.mark.parametrize("im", [-5e-324, -1e-300])
+    def test_angle_just_below_zero_estimates_zero(self, im):
+        # np.mod wraps an angle in (-4.4e-16, 0) to 2*pi itself, outside
+        # [0, 2*pi); at im = -5e-324, y/sqrt(L) also rounds the imaginary
+        # part of y (not that of 5y) to -0.0, so the two reach the wrap from
+        # either side of 0
+        y = complex(1.0, im)
+        est = cm_estimates(np.array([y, 5.0 * y]), 100, 0.5, TotalPower(10.0))
+        assert est.tolist() == [0.0, 0.0]
+
     def test_degenerate_zero_modulus(self):
         # the phase of a zero-modulus value is undefined: NaN, not an angle
         for power in (TotalPower(10.0), PerSensorPower(1.0)):

@@ -422,6 +422,47 @@ class TestAfCompare:
         )
         assert "flatness_regression" not in run_kind(spec)["af"].metadata
 
+    @pytest.mark.parametrize("kind", ["af-compare", "cauchy-robustness"])
+    @pytest.mark.parametrize(
+        "network, message",
+        [
+            (dict(power=PerSensorPower(1.0)), "defined under a total power budget"),
+            (dict(fading=RayleighFading()), "fading is not modeled for the AF baseline"),
+        ],
+        ids=["per-sensor-power", "fading"],
+    )
+    def test_misconfigured_af_track_fails_before_any_block(
+        self, monkeypatch, kind, network, message
+    ):
+        # checked as the plans are built, before the CM track's first block
+        calls = []
+
+        def spy(original):
+            def fn(*args, **kwargs):
+                calls.append(original.__name__)
+                return original(*args, **kwargs)
+
+            return fn
+
+        for name in ("cm_snapshot_batch", "af_snapshot_batch"):
+            monkeypatch.setattr(harness, name, spy(getattr(harness, name)))
+        spec = _spec(
+            kind=kind,
+            network=_network(**network),
+            sweep=Sweep("n_sensors", (100.0, 200.0)),
+            af_nominal_variance=1.0,
+        )
+        with pytest.raises(ConfigError, match=message):
+            run_kind(spec)
+        assert calls == []
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_nominal_variance_must_be_positive(self, value):
+        d = spec_to_dict(_spec(kind="af-compare", sweep=Sweep("theta", (2.0,))))
+        d["af_nominal_variance"] = value
+        with pytest.raises(ConfigError, match="nominal variance must be > 0 for AF gain"):
+            spec_from_dict(d)
+
     def test_infinite_variance_needs_explicit_nominal(self):
         spec = _spec(
             kind="af-compare",

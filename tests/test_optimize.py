@@ -5,7 +5,7 @@ import pytest
 
 from cmest import asv, optimize
 from cmest.asv import AsvContext, asv_on_grid
-from cmest.errors import ConfigError, RootNotFoundError
+from cmest.errors import ConfigError
 from cmest.noise import Cauchy, ClassA, Gaussian, Laplace, Uniform
 from cmest.optimize import (
     omega_star,
@@ -155,9 +155,18 @@ class TestUniform:
 
     def test_zero_snr_has_no_interior_root(self):
         # negative excess kurtosis: the variance increases away from the
-        # origin, so the stationarity equation has no sign change
-        with pytest.raises(RootNotFoundError):
-            omega_star_uniform(1.0, 0.0, 12.0)
+        # origin, so the stationarity equation has no sign change and the
+        # infimum, the noise variance, sits at the origin as for the Gaussian;
+        # so does an snr_inv lost beside 1 in float64
+        grid = asv.default_omega_grid(12.0)
+        for snr_inv in (0.0, 1e-17):
+            star = omega_star_uniform(1.0, snr_inv, 12.0)
+            assert star.at_origin and not star.clamped
+            assert star.beta == 0.0
+            assert star.omega == pytest.approx(1e-3 * 2.0 * math.pi / 12.0)
+            assert star.asv_at_opt == pytest.approx(1.0, rel=1e-6)
+            vals = asv_on_grid(AsvContext(Uniform(1.0), snr_inv), grid)
+            assert star.asv_at_opt <= vals.min() * (1.0 + 1e-9)
 
 
 class TestNumericGlobal:

@@ -123,9 +123,13 @@ class TestRiceanPenalty:
             RICEAN_PENALTY_K5_MC, rel=1e-3
         )
 
-    def test_negative_k(self):
-        with pytest.raises(DomainError):
-            ricean_fading_penalty(-0.1)
+    def test_largest_k_against_mpmath(self):
+        # K = 700 is the top of RiceanFading's range: 1F1(3/2; 1; K) still fits
+        with mp.workdps(40):
+            k = mp.mpf(700)
+            mean_amp = mp.gamma(1.5) * mp.exp(-k) * mp.hyp1f1(1.5, 1, k) / mp.sqrt(k + 1)
+            expected = float(1 / mean_amp ** 2)
+        assert ricean_fading_penalty(700.0) == pytest.approx(expected, rel=1e-14, abs=0)
 
     def test_monotone_and_at_least_one(self):
         ks = np.linspace(0.0, 50.0, 201)
