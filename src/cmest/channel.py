@@ -13,7 +13,7 @@ phase, which keeps transmissions constant-modulus).
 Stream discipline per batch: a batch is walked in row chunks of a fixed
 sensor-sample budget.  Each chunk draws its sensing noise, then its fading
 gains (if any): Rayleigh draws one unit exponential per gain, Ricean the
-chunk's real-part normal block, then its imaginary-part block.  Channel
+chunk's unit exponential block, then its uniform block.  Channel
 noise for the whole batch is drawn after the last chunk.  Identical seed and
 config replay bit-identically.  Fading gains, and Gaussian, Cauchy, uniform
 and Class-A noise, are drawn into work arrays allocated once per batch;
@@ -24,7 +24,7 @@ Precision of the constant-modulus kernel: the phase omega*eta is formed and
 wrapped to [-pi, pi] in float64, its cos/sin are taken in float32 (about
 1e-7 rad), one float64 Newton step restores the unit modulus to about
 1e-14, and row sums and the final rotation by exp(j*omega*theta) are
-float64.
+float64.  Ricean gains take the cos of their uniform phase in float32 too.
 """
 
 import cmath
@@ -50,6 +50,8 @@ __all__ = [
     "af_snapshot_batch",
     "af_gain",
 ]
+
+_TWO_PI = 2.0 * math.pi
 
 
 def _require_positive(what: str, value: float) -> None:
@@ -120,22 +122,29 @@ class RiceanFading:
     def sample_gains(self, rng, size, out=None, work=None):
         """Gains of shape ``size``, written into ``out`` when given.
 
-        The real-part block is drawn before the imaginary-part block, which
-        goes into ``work`` (scratch of the same shape) when given.  Normal
-        draws cannot overflow a square, so sqrt(re^2 + im^2) needs no hypot.
+        Polar form (Box & Muller, 1958): h = los + sigma*(n1 + j*n2) with
+        sigma^2 = 1/(2(K+1)) and los^2 = K/(K+1), where |n1 + j*n2|^2 = 2E
+        for a unit exponential E and the phase is 2*pi*U for a uniform U, so
+        |h|^2 = los^2 + t*(t + 2*los*cos(2*pi*U)) with t = sigma*sqrt(2E).
+        The exponential block is drawn into ``out``, then the uniform block
+        into ``work`` (scratch of the same shape) when given.  The cos is
+        taken in float32, as the kernel's trig is; |h|^2 is clamped at 0
+        against rounding before its square root.
         """
         k = self.k_factor
-        los = math.sqrt(k / (k + 1.0))
-        sig = math.sqrt(0.5 / (k + 1.0))
-        re = rng.standard_normal(size, out=out)
-        re *= sig
-        re += los
-        im = rng.standard_normal(size, out=work)
-        im *= sig
-        re *= re
-        im *= im
-        re += im
-        return np.sqrt(re, out=re)
+        los2 = k / (k + 1.0)
+        t = rng.standard_exponential(size, out=out)
+        t *= 1.0 / (k + 1.0)  # 2 sigma^2
+        np.sqrt(t, out=t)
+        c = rng.random(size, out=work)
+        c *= _TWO_PI
+        np.cos(c, out=c, dtype=np.float32, casting="same_kind")
+        c *= 2.0 * math.sqrt(los2)
+        c += t
+        t *= c
+        t += los2
+        np.maximum(t, 0.0, out=t)
+        return np.sqrt(t, out=t)
 
 
 FadingModel = Union[NoFading, RayleighFading, RiceanFading]
@@ -186,6 +195,13 @@ class NetworkConfig:
                 f"channel noise variance must be finite and >= 0, got "
                 f"{self.channel_noise_variance}"
             )
+        if isinstance(self.power, TotalPower) and not math.isfinite(
+            self.channel_noise_variance / self.power.p_t
+        ):
+            raise ConfigError(
+                f"channel noise variance / p_t must be finite, got "
+                f"{self.channel_noise_variance} / {self.power.p_t}"
+            )
 
     @property
     def per_sensor_power(self) -> float:
@@ -203,12 +219,13 @@ def _channel_noise(rng, sigma_v2: float, n: int) -> np.ndarray:
 #: batch's peak memory does not grow with the number of sensors.
 _CHUNK_SAMPLES = 1 << 15
 
-_TWO_PI = 2.0 * math.pi
-
 #: Beyond this |omega*eta| the fast reduction x - 2*pi*rint(x/(2*pi)) loses
 #: more than ~2e-9 rad to rounding; such chunks are first reduced exactly by
 #: fmod.  Heavy tails (Cauchy) reach any magnitude.
 _FAST_WRAP_LIMIT = 2.0 ** 24
+#: Within +-3, |x/(2*pi)| < 0.48, so rint(x/(2*pi)) is +-0 and the reduction
+#: subtracts nothing.  The margin below pi keeps x/(2*pi) clear of 0.5.
+_NO_WRAP_LIMIT = 3.0
 
 
 def _rows_per_chunk(n_sensors: int) -> int:
@@ -225,12 +242,18 @@ def _row_chunks(n_trials: int, n_sensors: int):
 def _wrap_to_float32(phase: np.ndarray, work: np.ndarray, out: np.ndarray) -> None:
     """Wrap float64 phases to [-pi, pi] and store them as float32 in ``out``.
 
-    Unwrapped, large phases would overflow the float32 cast.  ``phase`` is
-    first reduced exactly, in place, unless every value is known to lie in
-    the fast reduction's range (a NaN makes that unknown).  ``work`` is
-    float64 scratch of the same shape.
+    Unwrapped, large phases would overflow the float32 cast.  A chunk whose
+    phases all lie in [-3, 3] is cast as it is: adding 0.0 maps -0.0 to
+    +0.0, as the reduction's subtraction does, and changes no other bit.
+    Otherwise ``phase`` is first reduced exactly, in place, unless every
+    value is known to lie in the fast reduction's range; a NaN makes both
+    ranges unknown.  ``work`` is float64 scratch of the same shape.
     """
-    if not (-_FAST_WRAP_LIMIT <= phase.min() and phase.max() <= _FAST_WRAP_LIMIT):
+    lo, hi = phase.min(), phase.max()
+    if -_NO_WRAP_LIMIT <= lo and hi <= _NO_WRAP_LIMIT:
+        np.add(phase, 0.0, out=out)
+        return
+    if not (-_FAST_WRAP_LIMIT <= lo and hi <= _FAST_WRAP_LIMIT):
         np.fmod(phase, _TWO_PI, out=phase)
     np.multiply(phase, 1.0 / _TWO_PI, out=work)
     np.rint(work, out=work)
@@ -266,7 +289,7 @@ def cm_snapshot_batch(
         )
         gains = None
         if fading is not None:
-            # re is free until the cosines: scratch for a second normal block.
+            # re is free until the cosines: scratch for the Ricean uniform block.
             gains = fading.sample_gains(rng, (rows, L), out=gain_buf[:rows], work=re)
         phase *= config.omega
         _wrap_to_float32(phase, scale, phase32[:rows])

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.stats import ks_2samp, kstest, rice
 
 from cmest.channel import (
     NetworkConfig,
@@ -12,6 +12,7 @@ from cmest.channel import (
     RayleighFading,
     RiceanFading,
     TotalPower,
+    _TWO_PI,
     _row_chunks,
     _wrap_to_float32,
     af_gain,
@@ -81,6 +82,8 @@ class TestNetworkConfig:
             # NaN passed a bare `< 0` check and ran as a noiseless channel
             dict(channel_noise_variance=math.nan),
             dict(channel_noise_variance=math.inf),
+            # sigma_v^2 / p_t overflowed to an infinite snr_inv after the blocks ran
+            dict(channel_noise_variance=1e308, power=TotalPower(p_t=1e-308)),
         ],
     )
     def test_invariants(self, kw):
@@ -115,6 +118,11 @@ class TestNetworkConfig:
     def test_power_must_be_finite_and_positive(self, make, value):
         with pytest.raises(ConfigError):
             make(value)
+
+    def test_ratio_limit_applies_to_total_power_only(self):
+        # a per-sensor budget has no sigma_v^2 / p_t, and a finite ratio passes
+        _config(channel_noise_variance=1e308, power=PerSensorPower(rho=1e-308))
+        _config(channel_noise_variance=1e300, power=TotalPower(p_t=1e-5))
 
     def test_power_modes(self):
         assert PerSensorPower(rho=2.0).per_sensor_power(100) == 2.0
@@ -305,6 +313,30 @@ class TestStreamingKernel:
         off = np.remainder(out - np.remainder(phase, 2.0 * math.pi), 2.0 * math.pi)
         assert np.all(np.minimum(off, 2.0 * math.pi - off) < 1e-6)
 
+    @pytest.mark.parametrize(
+        "values, cast",
+        [
+            ([0.0, -0.0, 3.0, -3.0, 5e-324, -5e-324, 2.2e-308, -1e-310], True),
+            (np.random.default_rng(3).standard_normal((65, 500)) * 0.52, True),
+            ([0.5, np.nextafter(3.0, 4.0)], False),
+            ([0.5, -2.0, math.nan, 1.0], False),
+        ],
+        ids=["zeros-bounds-subnormals", "gaussian-chunk", "just-above-3", "nan"],
+    )
+    def test_wrap_within_three_is_a_bit_exact_cast(self, values, cast):
+        # in [-3, 3] the chunk is cast as it is; the reduction writes its
+        # multiples of 2*pi into work, so an untouched work shows the cast
+        phase = np.array(values, dtype=float)
+        expected = np.empty(phase.shape, dtype=np.float32)
+        np.subtract(
+            phase, np.rint(phase * (1.0 / _TWO_PI)) * _TWO_PI, out=expected
+        )
+        work = np.full(phase.shape, 7.0)
+        out = np.empty(phase.shape, dtype=np.float32)
+        _wrap_to_float32(phase.copy(), work, out)
+        np.testing.assert_array_equal(out.view(np.uint32), expected.view(np.uint32))
+        assert np.all(work == 7.0) == cast
+
     def test_huge_cauchy_scale_stays_finite(self, rng):
         # unwrapped, omega*eta overflows the float32 cast and turns y into NaN
         cfg = _config(noise=Cauchy(1e37))
@@ -324,6 +356,14 @@ class TestStreamingKernel:
         assert peak_bytes(2000) < 1.5 * peak_bytes(200)
 
 
+def _polar_ricean_k3(rng, size):
+    """Ricean K = 3 gains: exponential block first, then the uniform block,
+    with the cos in float32."""
+    t = np.sqrt(rng.standard_exponential(size) * 0.25)
+    cos = np.cos((rng.random(size) * _TWO_PI).astype(np.float32)).astype(float)
+    return np.sqrt(np.maximum(t * (t + 2.0 * math.sqrt(0.75) * cos) + 0.75, 0.0))
+
+
 class TestFadingGains:
     @pytest.mark.parametrize(
         "fading", [RayleighFading(), RiceanFading(k_factor=3.0)]
@@ -340,6 +380,29 @@ class TestFadingGains:
         # unit-power Rayleigh envelope: P(|h| <= g) = 1 - exp(-g^2)
         assert kstest(g, lambda x: -np.expm1(-x * x)).pvalue > 1e-3
 
+    @pytest.mark.parametrize("k", [0.0, 5.0, 50.0])
+    def test_ricean_envelope_distribution(self, k, rng):
+        g = RiceanFading(k_factor=k).sample_gains(rng, 200_000)
+        if k == 0.0:
+            # K = 0 is the unit-power Rayleigh envelope
+            cdf = lambda x: -np.expm1(-x * x)
+        else:
+            cdf = rice(b=math.sqrt(2.0 * k), scale=math.sqrt(0.5 / (k + 1.0))).cdf
+        assert kstest(g, cdf).pvalue > 1e-3
+
+    def test_polar_draw_matches_two_normal_draw(self, rng):
+        k, n = 5.0, 200_000
+        los, sig = math.sqrt(k / (k + 1.0)), math.sqrt(0.5 / (k + 1.0))
+        two_normal = np.hypot(
+            los + sig * rng.standard_normal(n), sig * rng.standard_normal(n)
+        )
+        polar = RiceanFading(k_factor=k).sample_gains(rng, n)
+        assert ks_2samp(polar, two_normal).pvalue > 1e-3
+
+    def test_largest_k_gains_are_finite(self, rng):
+        g = RiceanFading(k_factor=700.0).sample_gains(rng, 200_000)
+        assert np.all(np.isfinite(g)) and np.all(g >= 0.0)
+
     def test_ricean_mean_amplitude(self, rng):
         g = RiceanFading(k_factor=5.0).sample_gains(rng, 1_000_000)
         se = g.std() / math.sqrt(g.size)
@@ -349,14 +412,7 @@ class TestFadingGains:
         "fading, reference",
         [
             (RayleighFading(), lambda rng, n: np.sqrt(rng.standard_exponential(n))),
-            (
-                RiceanFading(k_factor=3.0),
-                # real-part block first, then the imaginary-part block
-                lambda rng, n: np.sqrt(
-                    (math.sqrt(0.75) + math.sqrt(0.125) * rng.standard_normal(n)) ** 2
-                    + (math.sqrt(0.125) * rng.standard_normal(n)) ** 2
-                ),
-            ),
+            (RiceanFading(k_factor=3.0), _polar_ricean_k3),
         ],
     )
     def test_stream_order_with_and_without_buffers(self, fading, reference):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cmest
-from cmest import asv, cli, presets
+from cmest import asv, cli, harness, presets
 from cmest.cli import main
 from cmest.errors import DomainError
 from cmest.harness import (
@@ -189,6 +189,26 @@ class TestErrorPaths:
         p = tmp_path / "broken.json"
         p.write_text("{not json")
         assert main(["simulate", "--config", str(p)]) == 2
+
+    def test_overflowing_noise_ratio_fails_before_any_block(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # sigma_v^2 / p_t overflows: refused as the network is built, not by
+        # the first point's theory value after its blocks have run
+        calls = []
+        original = harness.cm_snapshot_batch
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "cm_snapshot_batch", spy)
+        d = _tiny_spec_dict(trials=4)
+        d["network"]["channel_noise_variance"] = 1e308
+        d["network"]["power"] = {"mode": "total", "p_t": 1e-308}
+        assert main(["simulate", "--config", _write_config(tmp_path, d)]) == 2
+        assert "channel noise variance / p_t must be finite" in capsys.readouterr().err
+        assert calls == []
 
     @pytest.mark.parametrize(
         "path, value, message",
