@@ -8,8 +8,8 @@ budgets take a while on one core; use --trials-scale for a quick look, e.g.
         --trials-scale 0.05
 
 Exit codes are the CLI's: 0 success, 2 configuration error (an unknown
-preset, --threads below 1, a --trials-scale that is not finite and > 0),
-3 numeric/domain error.
+preset, --threads below 1, a --trials-scale that is not finite and > 0,
+an --outdir or output file that cannot be made), 3 numeric/domain error.
 """
 
 import argparse
@@ -30,7 +30,10 @@ def _run(args) -> int:
         )
     names = args.figs or presets.preset_names()
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a regular file on the path, say
+        raise ConfigError(f"cannot make --outdir {outdir}: {exc}") from exc
 
     for name in names:
         tracks = presets.preset(name)

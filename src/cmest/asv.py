@@ -39,7 +39,7 @@ __all__ = [
     "asv_low_snr_gaussian",
     "fading_penalty",
     "asv_on_grid",
-    "sample_curve",
+    "curve_on_grid",
     "default_omega_grid",
     "CF_ZERO_TOL",
 ]
@@ -217,18 +217,25 @@ def default_omega_grid(theta_range: float, n_points: int = 2000) -> np.ndarray:
     return np.geomspace(ORIGIN_FRACTION * omega_max, omega_max, n_points)
 
 
-def sample_curve(
-    ctx: AsvContext, theta_range: float, n_points: int = 2000
-) -> AsvCurve:
-    """Sample the variance curve on the default grid for this theta range.
+def curve_on_grid(ctx: AsvContext, omegas: np.ndarray) -> AsvCurve:
+    """The variance curve on a positive, strictly increasing grid.
 
-    Raises CfZeroError if the grid hits a characteristic-function zero
-    exactly (pick a different grid size in that case).
+    Raises CfZeroError if a grid point hits a characteristic-function zero
+    or a value float64 cannot hold (pick a different grid in that case).
     """
-    omegas = default_omega_grid(theta_range, n_points)
     values = asv_on_grid(ctx, omegas)
     if not np.all(np.isfinite(values)):
         raise CfZeroError(
-            "curve grid hit a characteristic-function zero; adjust the grid"
+            "requested grid hits a characteristic-function zero or a "
+            "value outside float64 range"
         )
     return AsvCurve(omegas=omegas, values=values)
+
+
+def sample_curve(
+    ctx: AsvContext, theta_range: float, n_points: int = 2000
+) -> AsvCurve:
+    """The variance curve on the default grid for this theta range.  Kept
+    out of ``__all__``: the CLI calls ``curve_on_grid``; perfbench calls
+    this."""
+    return curve_on_grid(ctx, default_omega_grid(theta_range, n_points))

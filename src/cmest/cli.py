@@ -17,17 +17,13 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import asv, harness, optimize, presets
-from .errors import CfZeroError, CmestError, ConfigError
+from .errors import CmestError, ConfigError
 from .harness import (
     ExperimentResult,
     SweepRecord,
     check_against_analytic,
     compared_points,
-    fading_from_dict,
-    noise_from_dict,
     render,
     spec_from_dict,
     write_text,
@@ -39,9 +35,6 @@ _EXIT_CONFIG = 2
 _EXIT_NUMERIC = 3
 _EXIT_CHECK = 4
 
-#: Most asv-curve grid points: rendering 10**6 as JSON peaked at 1.8 GB.
-_MAX_CURVE_POINTS = 10 ** 5
-
 _COMMAND_KINDS = {
     "simulate": ("asv-vs-omega", "var-vs-L"),
     "compare-af": ("af-compare",),
@@ -52,12 +45,11 @@ _COMMAND_KINDS = {
 
 
 def _load_json(path: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        return json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, nested too deep
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
@@ -124,84 +116,14 @@ def _parser() -> argparse.ArgumentParser:
     return _build_parser()
 
 
-def _theta_range(value) -> float:
-    """An analytic config's theta_range: finite and > 0, with a finite
-    largest transmit phase 2*pi/theta_range."""
-    theta_range = harness._number(value, "theta_range")
-    if not (theta_range > 0.0 and math.isfinite(2.0 * math.pi / theta_range)):
-        raise ConfigError(
-            f"theta_range must be > 0 with 2*pi/theta_range finite, got {theta_range}"
-        )
-    return theta_range
-
-
 def _curve_result(cfg: dict) -> ExperimentResult:
-    harness._take(
-        cfg,
-        "curve config",
-        ["noise", "theta_range"],
-        optional=["snr_inv", "fading", "n_points", "omegas"],
-    )
-    theta_range = _theta_range(cfg["theta_range"])
-    ctx = asv.AsvContext(
-        noise=noise_from_dict(cfg["noise"]),
-        snr_inv=harness._number(cfg.get("snr_inv", 0.0), "snr_inv"),
-        fading_penalty=asv.fading_penalty(
-            fading_from_dict(cfg.get("fading", {"kind": "none"}))
-        ),
-    )
-    if "omegas" in cfg:
-        omegas = np.array(harness._number_list(cfg["omegas"], "omegas"))
-        rising = np.diff(omegas, prepend=0.0) > 0.0
-        if not rising.all():
-            i = int(np.argmin(rising))  # the first value not above its predecessor
-            raise ConfigError(
-                "omegas must be > 0 and strictly increasing, got "
-                f"{float(omegas[i])!r} at position {i}"
-            )
-        values = asv.asv_on_grid(ctx, omegas)
-        if not np.all(np.isfinite(values)):
-            raise CfZeroError(
-                "requested grid hits a characteristic-function zero or a "
-                "value outside float64 range"
-            )
-        curve = asv.AsvCurve(omegas=omegas, values=values)
-    else:
-        n_points = harness._integer(cfg.get("n_points", 2000), "n_points")
-        if not 1 <= n_points <= _MAX_CURVE_POINTS:
-            raise ConfigError(
-                f"n_points must lie in [1, {_MAX_CURVE_POINTS}], got {n_points:.6g}"
-            )
-        curve = asv.sample_curve(ctx, theta_range, n_points)
+    curve = asv.curve_on_grid(**harness._CURVE.read(cfg, "curve config"))
     records = [
-        SweepRecord(
-            sweep_value=w,
-            n_trials=0,
-            normalized_variance=math.nan,
-            std_error=math.nan,
-            analytic_asv=v,
-            bias=math.nan,
-        )
+        SweepRecord(w, 0, math.nan, math.nan, v, math.nan)  # no trials, theory only
         for w, v in zip(curve.omegas.tolist(), curve.values.tolist())
     ]
-    metadata = {"kind": "asv-curve", "config": cfg}
-    return ExperimentResult(records=records, metadata=metadata)
-
-
-def _optimize_result(cfg: dict) -> dict:
-    harness._take(
-        cfg,
-        "optimizer config",
-        ["noise", "theta_range"],
-        optional=["snr_inv", "method"],
-    )
-    star = optimize.omega_star(
-        noise_from_dict(cfg["noise"]),
-        harness._number(cfg.get("snr_inv", 0.0), "snr_inv"),
-        _theta_range(cfg["theta_range"]),
-        cfg.get("method", "auto"),
-    )
-    return asdict(star)
+    # the config is echoed as read
+    return ExperimentResult(records, {"kind": "asv-curve", "config": cfg})
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -303,7 +225,8 @@ def _run_command(args) -> int:
         _emit(render(result, args.format), args.out)
         return _EXIT_OK
     if args.command == "optimize-omega":
-        res = _optimize_result(_load_json(args.config))
+        cfg = harness._OPTIMIZER.read(_load_json(args.config), "optimizer config")
+        res = asdict(optimize.omega_star(**cfg))
         if args.format == "json":
             text = json.dumps(harness._jsonable(res), indent=2, sort_keys=True) + "\n"
         else:

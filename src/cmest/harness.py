@@ -75,8 +75,6 @@ __all__ = [
     "compared_points",
     "spec_from_dict",
     "spec_to_dict",
-    "noise_from_dict",
-    "fading_from_dict",
     "write_result",
     "write_tracks",
     "CSV_HEADER",
@@ -666,18 +664,6 @@ def check_against_analytic(result: ExperimentResult, tolerance: float) -> List[D
 # ---------------------------------------------------------------------------
 
 
-def _take(d: Dict, what: str, required: Sequence[str], optional: Sequence[str] = ()):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{what} must be a mapping, got {type(d).__name__}")
-    missing = [k for k in required if k not in d]
-    if missing:
-        raise ConfigError(f"{what} is missing keys: {missing}")
-    unknown = [k for k in d if k not in (*required, *optional)]
-    if unknown:
-        raise ConfigError(f"{what} has unknown keys: {unknown}")
-    return d
-
-
 def _number(value, what: str) -> float:
     """A finite real from a config; bools, strings and NaN/inf are rejected."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
@@ -711,6 +697,42 @@ def _number_list(value, what: str) -> Tuple[float, ...]:
     return tuple(_number(v, what) for v in value)
 
 
+def _theta_range(value, what: str) -> float:
+    """An analytic config's theta_range: finite and > 0, with a finite
+    largest transmit phase 2*pi/theta_range."""
+    theta_range = _number(value, what)
+    if not (theta_range > 0.0 and math.isfinite(2.0 * math.pi / theta_range)):
+        raise ConfigError(
+            f"theta_range must be > 0 with 2*pi/theta_range finite, got {theta_range}"
+        )
+    return theta_range
+
+
+#: Most asv-curve grid points: rendering 10**6 as JSON peaked at 1.8 GB.
+_MAX_CURVE_POINTS = 10 ** 5
+
+
+def _curve_points(value, what: str) -> int:
+    n_points = _integer(value, what)
+    if not 1 <= n_points <= _MAX_CURVE_POINTS:
+        raise ConfigError(
+            f"n_points must lie in [1, {_MAX_CURVE_POINTS}], got {n_points:.6g}"
+        )
+    return n_points
+
+
+def _rising_omegas(value, what: str) -> np.ndarray:
+    omegas = np.array(_number_list(value, what))
+    rising = np.diff(omegas, prepend=0.0) > 0.0
+    if not rising.all():
+        i = int(np.argmin(rising))  # the first value not above its predecessor
+        raise ConfigError(
+            "omegas must be > 0 and strictly increasing, got "
+            f"{float(omegas[i])!r} at position {i}"
+        )
+    return omegas
+
+
 @dataclass(frozen=True)
 class _Value:
     """A leaf field: ``read`` checks a config value, ``write`` renders it."""
@@ -723,15 +745,17 @@ _NUMBER = _Value(_number)
 _INTEGER = _Value(_integer)
 _TEXT = _Value(_text)
 _NUMBERS = _Value(_number_list, list)
+_THETA_RANGE = _Value(_theta_range)
 
 #: Config keys whose dataclass field has another name.
 _FIELD_NAMES = {"variance": "variance_", "rule": "scale_rule"}
 
 
 class _Record:
-    """A config mapping with fixed keys <-> one dataclass; field values are
-    read and written by each key's codec (a _Value, _Record or _Tagged).
-    ``defaults`` holds the optional keys and what a missing one reads as."""
+    """A config mapping with fixed keys <-> one dataclass (or, read only, the
+    keyword arguments of a call); field values are read and written by each
+    key's codec (a _Value, _Record or _Tagged).  ``defaults`` holds the
+    optional keys and what a missing one reads as."""
 
     def __init__(self, cls, defaults=None, **codecs):
         self.cls = cls
@@ -740,7 +764,14 @@ class _Record:
         self.required = [k for k in codecs if k not in self.defaults]
 
     def read(self, d, what: str):
-        _take(d, what, self.required, optional=list(self.defaults))
+        if not isinstance(d, dict):
+            raise ConfigError(f"{what} must be a mapping, got {type(d).__name__}")
+        missing = [k for k in self.required if k not in d]
+        if missing:
+            raise ConfigError(f"{what} is missing keys: {missing}")
+        unknown = [k for k in d if k not in self.codecs]
+        if unknown:
+            raise ConfigError(f"{what} has unknown keys: {unknown}")
         kwargs = {
             _FIELD_NAMES.get(key, key): (
                 codec.read(d[key], key) if key in d else self.defaults[key]
@@ -851,12 +882,36 @@ _SPEC = _Record(
 )
 
 
+def _curve_arguments(theta_range, noise, snr_inv, fading, n_points, omegas) -> Dict:
+    """``asv.curve_on_grid``'s arguments for an asv-curve config: the grid is
+    its ``omegas`` list, or else the default grid of ``n_points`` (2000)."""
+    if omegas is None:
+        omegas = asv.default_omega_grid(theta_range, n_points or 2000)
+    elif n_points is not None:
+        raise ConfigError("give n_points or omegas, not both")
+    ctx = asv.AsvContext(noise, snr_inv, asv.fading_penalty(fading))
+    return {"ctx": ctx, "omegas": omegas}
+
+
+#: An asv-curve config, read as the arguments of ``asv.curve_on_grid``.
+_CURVE = _Record(
+    _curve_arguments,
+    defaults={"snr_inv": 0.0, "fading": NoFading(), "n_points": None, "omegas": None},
+    theta_range=_THETA_RANGE, noise=_NOISE, snr_inv=_NUMBER, fading=_FADING,
+    n_points=_Value(_curve_points), omegas=_Value(_rising_omegas),
+)
+#: An optimize-omega config, read as the arguments of ``optimize.omega_star``.
+_OPTIMIZER = _Record(
+    dict,
+    defaults={"snr_inv": 0.0, "method": "auto"},
+    noise=_NOISE, snr_inv=_NUMBER, theta_range=_THETA_RANGE, method=_TEXT,
+)
+
+
 def noise_from_dict(d: Dict) -> NoiseModel:
+    """Not in ``__all__``: the program reads noise through the records;
+    perfbench's gates call this."""
     return _NOISE.read(d, "noise")
-
-
-def fading_from_dict(d: Dict):
-    return _FADING.read(d, "fading")
 
 
 def spec_from_dict(d: Dict) -> ExperimentSpec:
@@ -914,10 +969,15 @@ def render(result: ExperimentResult, fmt: str) -> str:
 
 
 def write_text(path, text: str) -> Path:
-    """Write ``text`` to ``path``, creating parent directories."""
+    """Write ``text`` to ``path``, creating parent directories; a path that
+    cannot be written (a directory, or one under a regular file) is a
+    config error."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     return path
 
 

@@ -23,7 +23,6 @@ from cmest.harness import (
     CSV_HEADER,
     ExperimentResult,
     SweepRecord,
-    fading_from_dict,
     noise_from_dict,
     render,
     run_kind,
@@ -382,6 +381,39 @@ class TestErrorPaths:
         assert "no finite estimate" in capsys.readouterr().err
         assert out.read_text().split("\n")[1].split(",")[1] == "0"  # still written
 
+    @pytest.mark.parametrize(
+        "case",
+        ["config-is-dir", "config-not-utf8", "config-too-deep", "out-is-dir",
+         "out-under-file", "outdir-under-file"],
+    )
+    def test_file_errors_are_config_errors(self, tmp_path, case):
+        # a file that cannot be read or written is a config error, not a traceback
+        curve = _write_config(tmp_path, _CURVE_CONFIG)
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(b'{"noise": "\xe9"}')
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        regular = tmp_path / "regular"
+        regular.write_text("")
+        cli_run = ["-m", "cmest.cli", "asv-curve", "--config"]
+        argv = {
+            "config-is-dir": [*cli_run, str(tmp_path)],
+            "config-not-utf8": [*cli_run, str(latin1)],
+            "config-too-deep": [*cli_run, str(deep)],
+            "out-is-dir": [*cli_run, curve, "--out", str(tmp_path)],
+            "out-under-file": [*cli_run, curve, "--out", str(regular / "curve.csv")],
+            "outdir-under-file": [
+                str(_FIGURE_SCRIPT), "--figs", "fig1", "--outdir", str(regular / "out")
+            ],
+        }[case]
+        env = dict(os.environ, PYTHONPATH=str(Path(cmest.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("config error:")
+        assert "Traceback" not in done.stderr
+
     def test_unknown_noise_kind(self, tmp_path):
         d = _tiny_spec_dict()
         d["network"]["noise"] = {"kind": "pareto"}
@@ -468,7 +500,9 @@ class TestAsvCurve:
         ctx = asv.AsvContext(
             noise_from_dict(cfg["noise"]),
             0.1,
-            fading_penalty=asv.fading_penalty(fading_from_dict(cfg["fading"])),
+            fading_penalty=asv.fading_penalty(
+                harness._FADING.read(cfg["fading"], "fading")
+            ),
         )
         if "omegas" in grid:
             omegas = np.array(grid["omegas"])
@@ -480,6 +514,35 @@ class TestAsvCurve:
         ]
         expected = ExperimentResult(records, {"kind": "asv-curve", "config": cfg})
         assert capsys.readouterr().out == render(expected, fmt)
+
+    @pytest.mark.parametrize("n_points", [200, -5, "x"])
+    def test_n_points_beside_omegas_is_config_error(self, tmp_path, capsys, n_points):
+        # a curve sets its grid one way: n_points beside omegas is refused,
+        # valid or not
+        curve = {
+            "noise": {"kind": "gaussian", "variance": 1.0},
+            "theta_range": 12.0,
+            "n_points": n_points,
+            "omegas": [0.3, 0.5],
+        }
+        assert main(["asv-curve", "--config", _write_config(tmp_path, curve)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        if n_points == 200:
+            assert err == "config error: give n_points or omegas, not both\n"
+
+    def test_cf_zero_reads_alike_on_both_grids(self, tmp_path, capsys):
+        # the default grid ends at 2*pi/theta_range = pi/a, the uniform
+        # characteristic function's first zero
+        a = math.sqrt(3.0)
+        cfg = {"noise": {"kind": "uniform", "variance": 1.0}, "theta_range": 2.0 * a}
+        errors = []
+        for grid in ({}, {"omegas": [0.5, math.pi / a]}):
+            path = _write_config(tmp_path, {**cfg, **grid})
+            assert main(["asv-curve", "--config", path]) == 3
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("numeric error: CfZeroError: ")
 
     @pytest.mark.parametrize("omegas", [["0.3", True], "0.3", [math.nan], []])
     def test_malformed_omegas_are_config_errors(self, tmp_path, capsys, omegas):
@@ -551,6 +614,17 @@ class TestOptimizeOmega:
         payload = json.loads(capsys.readouterr().out)
         assert payload["at_origin"]
         assert payload["asv_at_opt"] == pytest.approx(1.0, rel=1e-4)
+
+    @pytest.mark.parametrize("method", [3, None])
+    def test_non_string_method_is_config_error(self, tmp_path, capsys, method):
+        cfg = {
+            "noise": {"kind": "gaussian", "variance": 1.0},
+            "theta_range": 12.0,
+            "method": method,
+        }
+        assert main(["optimize-omega", "--config", _write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: method must be a string, got {method!r}\n"
 
     def test_closed_method_unavailable(self, tmp_path):
         cfg = _write_config(
