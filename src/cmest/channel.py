@@ -11,14 +11,15 @@ envelopes |h_i| normalized to E[|h|^2] = 1 (sensors pre-correct the channel
 phase, which keeps transmissions constant-modulus).
 
 Stream discipline per batch: a batch is walked in row chunks of a fixed
-sensor-sample budget.  Each chunk draws its sensing noise, then its fading
-gains (if any): Rayleigh draws one unit exponential per gain, Ricean the
-chunk's unit exponential block, then its uniform block.  Channel
-noise for the whole batch is drawn after the last chunk.  Identical seed and
-config replay bit-identically.  Fading gains, and Gaussian, Cauchy, uniform
-and Class-A noise, are drawn into work arrays allocated once per batch;
-Laplace noise (also as the base of per-sensor scaling) still allocates per
-chunk.
+sensor-sample budget.  The draw stage ``_draw_chunks`` is the one place the
+draw order lives: each chunk draws its sensing noise, then its fading gains
+(CM only): Rayleigh one unit exponential per gain, Ricean the chunk's unit
+exponential block, then its uniform block.  The reduce stages (CM's
+``_cm_row_sums``, AF's row sum) only read a chunk's draws, so one draw can
+feed several reductions.  Channel noise for the whole batch is drawn after
+the last chunk.  Identical seed and config replay bit-identically.  Draws
+go into work arrays allocated once per batch; Laplace noise (also as the
+base of per-sensor scaling) still allocates per chunk.
 
 Precision of the constant-modulus kernel: the phase omega*eta is formed and
 wrapped to [-pi, pi] in float64, its cos/sin are taken in float32 (about
@@ -208,12 +209,6 @@ class NetworkConfig:
         return self.power.per_sensor_power(self.n_sensors)
 
 
-def _channel_noise(rng, sigma_v2: float, n: int) -> np.ndarray:
-    re = rng.standard_normal(n)
-    im = rng.standard_normal(n)
-    return math.sqrt(sigma_v2 / 2.0) * (re + 1j * im)
-
-
 #: Sensor-samples per row chunk of a batch.  A chunk's float64 work arrays
 #: are 256 KB each, near a core's L2; larger chunks measured slower.  A
 #: batch's peak memory does not grow with the number of sensors.
@@ -230,13 +225,6 @@ _NO_WRAP_LIMIT = 3.0
 
 def _rows_per_chunk(n_sensors: int) -> int:
     return max(1, _CHUNK_SAMPLES // n_sensors)
-
-
-def _row_chunks(n_trials: int, n_sensors: int):
-    """Row slices of a (n_trials, n_sensors) batch, about _CHUNK_SAMPLES each."""
-    rows = _rows_per_chunk(n_sensors)
-    for start in range(0, n_trials, rows):
-        yield slice(start, min(start + rows, n_trials))
 
 
 def _wrap_to_float32(phase: np.ndarray, work: np.ndarray, out: np.ndarray) -> None:
@@ -261,6 +249,59 @@ def _wrap_to_float32(phase: np.ndarray, work: np.ndarray, out: np.ndarray) -> No
     np.subtract(phase, work, out=out)
 
 
+def _draw_chunks(config: NetworkConfig, n_trials: int, rng, fading, work):
+    """Draw stage: yield ``(chunk, noise, gains)`` per row slice of about
+    _CHUNK_SAMPLES: sensing noise, then gains from ``fading`` (None draws
+    none).  ``work``, two float64 arrays of the chunk shape, is the samplers'
+    scratch.  The yielded arrays are reused chunk to chunk; only read them.
+    """
+    L, step = config.n_sensors, _rows_per_chunk(config.n_sensors)
+    noise_buf = np.empty(work[0].shape)
+    gain_buf = None if fading is None else np.empty(work[0].shape)
+    for start in range(0, n_trials, step):
+        chunk = slice(start, min(start + step, n_trials))
+        rows = chunk.stop - start
+        scratch = (work[0][:rows], work[1][:rows])
+        noise = config.noise.sample_sensors(
+            rng, rows, L, out=noise_buf[:rows], work=scratch
+        )
+        gains = None if fading is None else fading.sample_gains(
+            rng, (rows, L), out=gain_buf[:rows], work=scratch[0]
+        )
+        yield chunk, noise, gains
+
+
+def _cm_row_sums(noise, gains, omega: float, work):
+    """Reduce stage: the row sums of g*cos(omega*eta) and g*sin(omega*eta).
+
+    Only reads ``noise`` and ``gains`` (None for unit gains).  ``work`` is
+    float64 (phase, re, im, scale) and a float32 array, of the chunk shape.
+    """
+    rows = noise.shape[0]
+    phase, re, im, scale, phase32 = (w[:rows] for w in work)
+    np.multiply(noise, omega, out=phase)
+    _wrap_to_float32(phase, scale, phase32)
+    np.cos(phase32, out=re)  # float32 trig, stored as float64
+    np.sin(phase32, out=im)
+    # One Newton step towards re^2 + im^2 = 1, with the gains folded in.
+    np.multiply(re, re, out=scale)
+    np.multiply(im, im, out=phase)
+    scale += phase
+    scale *= -0.5
+    scale += 1.5
+    if gains is not None:
+        scale *= gains
+    return np.einsum("ij,ij->i", re, scale), np.einsum("ij,ij->i", im, scale)
+
+
+def _add_channel_noise(y: np.ndarray, config: NetworkConfig, rng) -> np.ndarray:
+    """``y`` plus channel noise CN(0, sigma_v^2), drawn after the last chunk."""
+    if config.channel_noise_variance > 0.0:
+        v = rng.standard_normal(len(y)) + 1j * rng.standard_normal(len(y))
+        y = y + math.sqrt(config.channel_noise_variance / 2.0) * v
+    return y
+
+
 def cm_snapshot_batch(
     config: NetworkConfig, n_trials: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -271,47 +312,21 @@ def cm_snapshot_batch(
     Every transmitted symbol has modulus sqrt(rho) (to ~1e-14 relative),
     whatever the noise draws; fading rescales only the received amplitude.
     """
-    L = config.n_sensors
     fading = None if isinstance(config.fading, NoFading) else config.fading
     sums = np.empty(n_trials, dtype=complex)
     # Work arrays are reused by every chunk: fresh temporaries of this size
     # cost more in page faults than the arithmetic done on them.
-    shape = (min(n_trials, _rows_per_chunk(L)), L)
-    phase32 = np.empty(shape, dtype=np.float32)
-    noise_buf, re_buf, im_buf, scale_buf = (np.empty(shape) for _ in range(4))
-    gain_buf = np.empty(shape) if fading is not None else None
-    for chunk in _row_chunks(n_trials, L):
-        rows = chunk.stop - chunk.start
-        re, im, scale = re_buf[:rows], im_buf[:rows], scale_buf[:rows]
-        # re and scale are free until the trig: the sampler's scratch.
-        phase = config.noise.sample_sensors(
-            rng, rows, L, out=noise_buf[:rows], work=(re, scale)
+    shape = (min(n_trials, _rows_per_chunk(config.n_sensors)), config.n_sensors)
+    work = [np.empty(shape) for _ in range(4)] + [np.empty(shape, dtype=np.float32)]
+    # re and scale are dead until the trig: the samplers' scratch.
+    for chunk, noise, gains in _draw_chunks(config, n_trials, rng, fading, work[1::2]):
+        sums.real[chunk], sums.imag[chunk] = _cm_row_sums(
+            noise, gains, config.omega, work
         )
-        gains = None
-        if fading is not None:
-            # re is free until the cosines: scratch for the Ricean uniform block.
-            gains = fading.sample_gains(rng, (rows, L), out=gain_buf[:rows], work=re)
-        phase *= config.omega
-        _wrap_to_float32(phase, scale, phase32[:rows])
-        np.cos(phase32[:rows], out=re)  # float32 trig, stored as float64
-        np.sin(phase32[:rows], out=im)
-        # One Newton step towards re^2 + im^2 = 1, with the gains folded in.
-        np.multiply(re, re, out=scale)
-        np.multiply(im, im, out=phase)
-        scale += phase
-        scale *= -0.5
-        scale += 1.5
-        if gains is not None:
-            scale *= gains
-        sums.real[chunk] = np.einsum("ij,ij->i", re, scale)
-        sums.imag[chunk] = np.einsum("ij,ij->i", im, scale)
     rotation = math.sqrt(config.per_sensor_power) * cmath.exp(
         1j * config.omega * config.theta
     )
-    y = sums * rotation
-    if config.channel_noise_variance > 0.0:
-        y = y + _channel_noise(rng, config.channel_noise_variance, n_trials)
-    return y
+    return _add_channel_noise(sums * rotation, config, rng)
 
 
 def af_gain(config: NetworkConfig, nominal_variance: float) -> float:
@@ -342,17 +357,14 @@ def af_snapshot_batch(
     y = alpha_L * sum_i (theta + eta_i) + v.  Per-sensor instantaneous power
     alpha_L^2 (theta + eta_i)^2 is a random variable, unbounded for
     heavy-tailed noise; only its average is constrained.  ``af_gain``'s
-    preconditions apply, and fading is not modeled (AF plans refuse it).
+    preconditions apply.  Fading is not modeled: AF plans refuse it, and a
+    faded config draws no gains here.
     """
     alpha = af_gain(config, nominal_variance)
-    L = config.n_sensors
     sums = np.empty(n_trials)
-    noise_buf = np.empty((min(n_trials, _rows_per_chunk(L)), L))
-    for chunk in _row_chunks(n_trials, L):
-        rows = chunk.stop - chunk.start
-        eta = config.noise.sample_sensors(rng, rows, L, out=noise_buf[:rows])
+    shape = (min(n_trials, _rows_per_chunk(config.n_sensors)), config.n_sensors)
+    work = (np.empty(shape), np.empty(shape))
+    for chunk, eta, _ in _draw_chunks(config, n_trials, rng, None, work):
         sums[chunk] = eta.sum(axis=1)
-    y = alpha * (config.theta * L + sums).astype(complex)
-    if config.channel_noise_variance > 0.0:
-        y = y + _channel_noise(rng, config.channel_noise_variance, n_trials)
-    return y
+    y = alpha * (config.theta * config.n_sensors + sums).astype(complex)
+    return _add_channel_noise(y, config, rng)

@@ -170,6 +170,8 @@ def _load_specs(args, allowed_kinds) -> list:
 def _run_experiment_command(args, allowed_kinds) -> int:
     if not (math.isfinite(args.check_tol) and args.check_tol > 0.0):
         raise ConfigError(f"--check-tol must be finite and > 0, got {args.check_tol}")
+    if args.out is not None:
+        write_text(args.out)  # an unwritable --out fails before any block
     specs = _load_specs(args, allowed_kinds)
     all_tracks: dict = {}
     for label, spec in specs:

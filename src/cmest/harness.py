@@ -968,14 +968,15 @@ def render(result: ExperimentResult, fmt: str) -> str:
     raise ConfigError(f"unknown output format {fmt!r}")
 
 
-def write_text(path, text: str) -> Path:
-    """Write ``text`` to ``path``, creating parent directories; a path that
-    cannot be written (a directory, or one under a regular file) is a
-    config error."""
+def write_text(path, text: str | None = None) -> Path:
+    """Write ``text`` to ``path``, creating parent directories (only those
+    without ``text``, to check a path before a run); a path that cannot be
+    written (a directory, or one under a regular file) is a config error."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        if text is not None:
+            path.write_text(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
     return path

@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 
@@ -13,7 +14,9 @@ from cmest.channel import (
     RiceanFading,
     TotalPower,
     _TWO_PI,
-    _row_chunks,
+    _cm_row_sums,
+    _draw_chunks,
+    _rows_per_chunk,
     _wrap_to_float32,
     af_gain,
     af_snapshot_batch,
@@ -214,6 +217,13 @@ def _reference_cm_batch(config, n_trials, rng):
     return y + sigma * (rng.standard_normal(n_trials) + 1j * rng.standard_normal(n_trials))
 
 
+def _row_chunks(n_trials, n_sensors):
+    """The kernel's row slices of a (n_trials, n_sensors) batch."""
+    rows = _rows_per_chunk(n_sensors)
+    for start in range(0, n_trials, rows):
+        yield slice(start, min(start + rows, n_trials))
+
+
 def _reference_faded_cm_batch(config, n_trials, rng):
     """Float64 kernel over the streaming kernel's row chunks, each drawing
     its noise, then its gains (none without fading), through the allocating
@@ -246,6 +256,78 @@ def _reference_af_batch(config, nominal_variance, n_trials, rng):
     return y + sigma * (rng.standard_normal(n_trials) + 1j * rng.standard_normal(n_trials))
 
 
+def _fused_cm_batch(config, n_trials, rng):
+    """The constant-modulus kernel as one fused loop: each chunk draws into
+    the work arrays and then reuses the noise buffer as its phase and Newton
+    scratch.  Kept as the bit-exact reference of the draw and reduce stages."""
+    L = config.n_sensors
+    fading = None if isinstance(config.fading, NoFading) else config.fading
+    sums = np.empty(n_trials, dtype=complex)
+    shape = (min(n_trials, _rows_per_chunk(L)), L)
+    phase32 = np.empty(shape, dtype=np.float32)
+    noise_buf, re_buf, im_buf, scale_buf = (np.empty(shape) for _ in range(4))
+    gain_buf = np.empty(shape) if fading is not None else None
+    for chunk in _row_chunks(n_trials, L):
+        rows = chunk.stop - chunk.start
+        re, im, scale = re_buf[:rows], im_buf[:rows], scale_buf[:rows]
+        phase = config.noise.sample_sensors(
+            rng, rows, L, out=noise_buf[:rows], work=(re, scale)
+        )
+        gains = None
+        if fading is not None:
+            gains = fading.sample_gains(rng, (rows, L), out=gain_buf[:rows], work=re)
+        phase *= config.omega
+        _wrap_to_float32(phase, scale, phase32[:rows])
+        np.cos(phase32[:rows], out=re)
+        np.sin(phase32[:rows], out=im)
+        np.multiply(re, re, out=scale)
+        np.multiply(im, im, out=phase)
+        scale += phase
+        scale *= -0.5
+        scale += 1.5
+        if gains is not None:
+            scale *= gains
+        sums.real[chunk] = np.einsum("ij,ij->i", re, scale)
+        sums.imag[chunk] = np.einsum("ij,ij->i", im, scale)
+    rotation = math.sqrt(config.per_sensor_power) * cmath.exp(
+        1j * config.omega * config.theta
+    )
+    y = sums * rotation
+    if config.channel_noise_variance > 0.0:
+        sigma = math.sqrt(config.channel_noise_variance / 2.0)
+        y = y + sigma * (rng.standard_normal(n_trials) + 1j * rng.standard_normal(n_trials))
+    return y
+
+
+def _chunked_af_batch(config, nominal_variance, n_trials, rng):
+    """AF over the kernel's row chunks, each drawn by the allocating sampler:
+    the reference for models that draw more than one block per chunk."""
+    L = config.n_sensors
+    sums = np.empty(n_trials)
+    for chunk in _row_chunks(n_trials, L):
+        eta = config.noise.sample_sensors(rng, chunk.stop - chunk.start, L)
+        sums[chunk] = eta.sum(axis=1)
+    y = af_gain(config, nominal_variance) * (config.theta * L + sums).astype(complex)
+    sigma = math.sqrt(config.channel_noise_variance / 2.0)
+    return y + sigma * (rng.standard_normal(n_trials) + 1j * rng.standard_normal(n_trials))
+
+
+def _assert_same_bits(a, b):
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+_BIT_NOISES = {
+    "gaussian": Gaussian(1.0),
+    "laplace": Laplace(1.0),
+    "cauchy-1e37": Cauchy(1e37),
+    "class-a": ClassA(0.1, 0.1, 1.0),
+    "hetero-class-a": HeterogeneousScaled(ClassA(0.5, 0.1, 1.0), BoundedScales(1.0)),
+}
+# 1000 trials at L = 500 end in a ragged chunk (65-row chunks); beyond 2**15
+# sensors every chunk is one row.
+_BIT_SHAPES = {"ragged": (500, 1000), "one-row": (2 ** 15 + 3, 3)}
+
+
 class TestStreamingKernel:
     # 1000 trials at L = 500 span several row chunks.
 
@@ -260,8 +342,9 @@ class TestStreamingKernel:
 
     @pytest.mark.parametrize("fading", [RayleighFading(), RiceanFading(k_factor=5.0)])
     def test_faded_cm_matches_float64_reference_on_shared_draws(self, fading):
-        # Ricean gains use the cosine work array as scratch: drawing them
-        # after the cosines would overwrite those and fail this comparison
+        # the draw stage hands the Ricean sampler the reduce's cosine array
+        # as scratch: a reduce that wrote its cosines before the draw ended
+        # would lose them and fail this comparison
         cfg = _config(fading=fading)
         y = cm_snapshot_batch(cfg, 1000, np.random.default_rng(7))
         y_ref = _reference_faded_cm_batch(cfg, 1000, np.random.default_rng(7))
@@ -278,9 +361,10 @@ class TestStreamingKernel:
         ],
     )
     def test_class_a_cm_matches_chunked_reference(self, noise):
-        # Class-A draws its bin indices and scales into the kernel's cosine
-        # and Newton-scale work arrays: a chunk that read them after the
-        # sampler, or a sampler writing where the kernel keeps values, fails
+        # Class-A draws its bin indices and scales into the draw stage's
+        # scratch, the reduce's cosine and Newton-scale arrays: a reduce that
+        # read them before writing, or a sampler writing into the yielded
+        # noise, fails
         cfg = _config(noise=noise)
         y = cm_snapshot_batch(cfg, 1000, np.random.default_rng(9))
         y_ref = _reference_faded_cm_batch(cfg, 1000, np.random.default_rng(9))
@@ -296,6 +380,65 @@ class TestStreamingKernel:
         y = af_snapshot_batch(cfg, 1.0, np.random.default_rng(6), 1000)
         y_ref = _reference_af_batch(cfg, 1.0, 1000, np.random.default_rng(6))
         np.testing.assert_array_equal(y, y_ref)
+
+    @pytest.mark.parametrize("shape", _BIT_SHAPES.values(), ids=_BIT_SHAPES.keys())
+    @pytest.mark.parametrize(
+        "fading",
+        [NoFading(), RayleighFading(), RiceanFading(k_factor=5.0)],
+        ids=["unfaded", "rayleigh", "ricean"],
+    )
+    @pytest.mark.parametrize("noise", _BIT_NOISES.values(), ids=_BIT_NOISES.keys())
+    def test_cm_bit_identical_to_fused_kernel(self, noise, fading, shape):
+        n_sensors, n_trials = shape
+        cfg = _config(n_sensors=n_sensors, noise=noise, fading=fading)
+        y = cm_snapshot_batch(cfg, n_trials, np.random.default_rng(11))
+        y_ref = _fused_cm_batch(cfg, n_trials, np.random.default_rng(11))
+        _assert_same_bits(y, y_ref)
+
+    @pytest.mark.parametrize("shape", _BIT_SHAPES.values(), ids=_BIT_SHAPES.keys())
+    @pytest.mark.parametrize("noise", ["class-a", "hetero-class-a"])
+    def test_af_bit_identical_to_chunked_reference(self, noise, shape):
+        # Class-A draws two blocks per chunk, so whole-matrix AF differs
+        n_sensors, n_trials = shape
+        cfg = _config(n_sensors=n_sensors, noise=_BIT_NOISES[noise])
+        y = af_snapshot_batch(cfg, 1.0, np.random.default_rng(12), n_trials)
+        y_ref = _chunked_af_batch(cfg, 1.0, n_trials, np.random.default_rng(12))
+        _assert_same_bits(y, y_ref)
+
+    @pytest.mark.parametrize("fading", [RayleighFading(), RiceanFading(k_factor=5.0)])
+    def test_af_draws_no_gains(self, fading):
+        unfaded = _config(noise=ClassA(0.1, 0.1, 1.0))
+        faded = _config(noise=ClassA(0.1, 0.1, 1.0), fading=fading)
+        y = af_snapshot_batch(faded, 1.0, np.random.default_rng(13), 300)
+        y_ref = af_snapshot_batch(unfaded, 1.0, np.random.default_rng(13), 300)
+        _assert_same_bits(y, y_ref)
+
+    @pytest.mark.parametrize(
+        "noise, fading",
+        [
+            (Gaussian(1.0), None),
+            (ClassA(0.1, 0.1, 1.0), None),
+            (Cauchy(1e37), None),  # the exact fmod wrap runs in the reduce's buffer
+            (Gaussian(1.0), RiceanFading(k_factor=5.0)),
+        ],
+        ids=["gaussian", "class-a", "cauchy-1e37", "ricean-k5"],
+    )
+    def test_one_draw_feeds_several_reductions(self, noise, fading):
+        cfg = _config(noise=noise)
+        shape = (65, cfg.n_sensors)
+        work = [np.empty(shape) for _ in range(4)] + [np.empty(shape, np.float32)]
+        draws = _draw_chunks(cfg, 130, np.random.default_rng(14), fading, work[1::2])
+        _, noise_draw, gains = next(draws)
+        noise_copy = noise_draw.copy()
+        gains_copy = None if gains is None else gains.copy()
+        first = _cm_row_sums(noise_draw, gains, 0.3, work)
+        _cm_row_sums(noise_draw, gains, 0.45, work)
+        third = _cm_row_sums(noise_draw, gains, 0.3, work)
+        for a, b in zip(first, third):
+            _assert_same_bits(a, b)
+        _assert_same_bits(noise_draw, noise_copy)
+        if gains is not None:
+            _assert_same_bits(gains, gains_copy)
 
     @pytest.mark.parametrize(
         "values",
@@ -343,12 +486,20 @@ class TestStreamingKernel:
         y = cm_snapshot_batch(cfg, 300, rng)
         assert np.all(np.isfinite(y))
 
-    def test_block_memory_does_not_grow_with_sensors(self):
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            lambda cfg, rng: cm_snapshot_batch(cfg, 512, rng),
+            lambda cfg, rng: af_snapshot_batch(cfg, 1.0, rng, 512),
+        ],
+        ids=["cm", "af"],
+    )
+    def test_block_memory_does_not_grow_with_sensors(self, batch):
         def peak_bytes(n_sensors):
             cfg = _config(n_sensors=n_sensors, fading=RayleighFading())
             tracemalloc.start()
             try:
-                cm_snapshot_batch(cfg, 512, np.random.default_rng(7))
+                batch(cfg, np.random.default_rng(7))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

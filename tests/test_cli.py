@@ -414,6 +414,20 @@ class TestErrorPaths:
         assert done.stderr.startswith("config error:")
         assert "Traceback" not in done.stderr
 
+    def test_out_under_a_file_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # the output's directory is made before any experiment runs, so a
+        # parent that is a regular file fails at once, not after the run
+        calls = []
+        monkeypatch.setattr(harness, "run_kind", lambda *a, **k: calls.append(a))
+        regular = tmp_path / "F"
+        regular.write_text("")
+        out = str(regular / "x.csv")
+        assert main(["simulate", "--preset", "fig2", "--trials", "10", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write")
+        assert "Traceback" not in err
+        assert calls == []
+
     def test_unknown_noise_kind(self, tmp_path):
         d = _tiny_spec_dict()
         d["network"]["noise"] = {"kind": "pareto"}
