@@ -8,8 +8,9 @@ budgets take a while on one core; use --trials-scale for a quick look, e.g.
         --trials-scale 0.05
 
 Exit codes are the CLI's: 0 success, 2 configuration error (an unknown
-preset, --threads below 1, a --trials-scale that is not finite and > 0,
-an --outdir or output file that cannot be made), 3 numeric/domain error.
+preset, --threads below 1, a --trials-scale that is not finite and > 0 or
+that scales a trial budget beyond float64 or the engine's cap, an --outdir
+or output file that cannot be made), 3 numeric/domain error.
 """
 
 import argparse
@@ -39,8 +40,13 @@ def _run(args) -> int:
         tracks = presets.preset(name)
         t0 = time.perf_counter()
         for label, spec in tracks:
-            trials = max(1, int(round(spec.trials * args.trials_scale)))
-            spec = replace(spec, trials=trials)
+            trials = spec.trials * args.trials_scale
+            if not math.isfinite(trials):
+                raise ConfigError(
+                    f"--trials-scale {args.trials_scale} takes {name}.{label}'s "
+                    f"{spec.trials} trials beyond float64"
+                )
+            spec = replace(spec, trials=max(1, int(round(trials))))
             results = harness.run_kind(spec, threads=args.threads)
             base = outdir / f"{name}.{label}.{args.format}"
             for path in harness.write_tracks(results, base, args.format):

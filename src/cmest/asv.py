@@ -9,7 +9,10 @@ variance
 where snr_inv = sigma_v^2 / P_T is the channel noise-to-power ratio and
 ``penalty`` >= 1 the fading factor (E[|h|])^-2.  snr_inv = 0 doubles as the
 per-sensor-power asymptote, where the channel noise washes out as the
-network grows; one code path serves both regimes.
+network grows; one code path serves both regimes.  Each quantity comes from
+its model: phi from the noise model, snr_inv from ``NetworkConfig.snr_inv``
+and the penalty from the fading model's ``penalty()``; this module is the
+formula over them.
 
 That code path evaluates the formula for every noise model, scalar and
 vectorized.  Each model gives 1 - phi(2w) directly (``cf_complement``), so
@@ -24,8 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun
-from .channel import FadingModel, NoFading, RayleighFading, RiceanFading
 from .errors import CfZeroError, ConfigError, DomainError
 from .noise import NoiseModel
 
@@ -37,7 +38,6 @@ __all__ = [
     "asv_upper_bound",
     "asv_af",
     "asv_low_snr_gaussian",
-    "fading_penalty",
     "asv_on_grid",
     "curve_on_grid",
     "default_omega_grid",
@@ -181,18 +181,6 @@ def asv_low_snr_gaussian(variance: float, snr_inv: float) -> float:
     An upper bound on the optimized performance at any SNR; tight when the
     channel SNR is low."""
     return variance * math.e / 2.0 * (snr_inv + 1.0 - math.exp(-2.0))
-
-
-def fading_penalty(fading: FadingModel) -> float:
-    """Variance penalty (E[|h|])^-2: 1 without fading, 4/pi for Rayleigh,
-    and the Ricean expression otherwise."""
-    if isinstance(fading, NoFading):
-        return 1.0
-    if isinstance(fading, RayleighFading):
-        return 4.0 / math.pi
-    if isinstance(fading, RiceanFading):
-        return specfun.ricean_fading_penalty(fading.k_factor)
-    raise ConfigError(f"unknown fading model {fading!r}")
 
 
 def asv_on_grid(ctx: AsvContext, omegas: np.ndarray) -> np.ndarray:

@@ -35,6 +35,7 @@ from typing import Union
 
 import numpy as np
 
+from . import specfun
 from .errors import ConfigError
 from .noise import NoiseModel
 
@@ -93,6 +94,10 @@ PowerMode = Union[PerSensorPower, TotalPower]
 class NoFading:
     """Unit gains: the CM kernel draws none for this model."""
 
+    def penalty(self) -> float:
+        """Variance penalty (E[|h|])^-2: none without fading."""
+        return 1.0
+
 
 @dataclass(frozen=True)
 class RayleighFading:
@@ -101,6 +106,10 @@ class RayleighFading:
     |h|^2 = (re^2 + im^2)/2 for two unit normals is a unit exponential, so
     each gain is the square root of one exponential draw.
     """
+
+    def penalty(self) -> float:
+        """Variance penalty (E[|h|])^-2 = 4/pi, as E[|h|] = sqrt(pi)/2."""
+        return 4.0 / math.pi
 
     def sample_gains(self, rng, size, out=None, work=None):
         """Gains of shape ``size``, written into ``out`` when given; one
@@ -119,6 +128,10 @@ class RiceanFading:
         # the fading penalty needs 1F1(3/2; 1; K), which overflows from K = 707
         if not 0.0 <= self.k_factor <= 700.0:
             raise ConfigError(f"Ricean K factor must lie in [0, 700], got {self.k_factor}")
+
+    def penalty(self) -> float:
+        """Variance penalty (E[|h|])^-2, from 4/pi at K = 0 down to 1."""
+        return specfun.ricean_fading_penalty(self.k_factor)
 
     def sample_gains(self, rng, size, out=None, work=None):
         """Gains of shape ``size``, written into ``out`` when given.
@@ -196,9 +209,7 @@ class NetworkConfig:
                 f"channel noise variance must be finite and >= 0, got "
                 f"{self.channel_noise_variance}"
             )
-        if isinstance(self.power, TotalPower) and not math.isfinite(
-            self.channel_noise_variance / self.power.p_t
-        ):
+        if not math.isfinite(self.snr_inv):
             raise ConfigError(
                 f"channel noise variance / p_t must be finite, got "
                 f"{self.channel_noise_variance} / {self.power.p_t}"
@@ -207,6 +218,18 @@ class NetworkConfig:
     @property
     def per_sensor_power(self) -> float:
         return self.power.per_sensor_power(self.n_sensors)
+
+    @property
+    def snr_inv(self) -> float:
+        """The channel noise-to-power ratio the asymptotic variance sees.
+
+        A total power budget keeps snr_inv = sigma_v^2 / P_T for all L; a
+        fixed per-sensor budget drives the channel-noise share to zero as the
+        network grows, so its asymptote is the snr_inv = 0 objective.
+        """
+        if isinstance(self.power, TotalPower):
+            return self.channel_noise_variance / self.power.p_t
+        return 0.0
 
 
 #: Sensor-samples per row chunk of a batch.  A chunk's float64 work arrays

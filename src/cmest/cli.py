@@ -23,7 +23,6 @@ from .harness import (
     ExperimentResult,
     SweepRecord,
     check_against_analytic,
-    compared_points,
     render,
     spec_from_dict,
     write_text,
@@ -189,8 +188,8 @@ def _run_experiment_command(args, allowed_kinds) -> int:
     compared = 0
     if args.check:
         for key, result in all_tracks.items():
-            compared += compared_points(result)
-            bad = check_against_analytic(result, args.check_tol)
+            bad, n_compared = check_against_analytic(result, args.check_tol)
+            compared += n_compared
             if bad:
                 failures[key] = bad
     _emit_tracks(all_tracks, args)

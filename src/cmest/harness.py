@@ -72,16 +72,18 @@ __all__ = [
     "ExperimentResult",
     "run_kind",
     "check_against_analytic",
-    "compared_points",
     "spec_from_dict",
     "spec_to_dict",
-    "write_result",
     "write_tracks",
     "CSV_HEADER",
 ]
 
 #: Trials per simulation block; fixed so seed lineage is thread-count free.
 BLOCK_TRIALS = 4096
+#: Most trials per point.  The engine keeps about 124 B of bookkeeping per
+#: block (its ``_block_sizes`` entry and work unit), so 2**30 trials, 262 144
+#: blocks, hold about 33 MB per track-point; presets use at most 2e5 trials.
+_MAX_TRIALS = 2 ** 30
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +178,10 @@ class ExperimentSpec:
             raise ConfigError(
                 f"kind must be one of {tuple(_KINDS)}, got {self.kind!r}"
             )
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if not 1 <= self.trials <= _MAX_TRIALS:
+            # .6g converts to float64, which a JSON integer can outgrow
+            shown = f"{self.trials:.6g}" if self.trials < 1e308 else "over 1e308"
+            raise ConfigError(f"trials must lie in [1, 2**30], got {shown}")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"seed must be a 64-bit unsigned int, got {self.seed}")
         if self.af_nominal_variance is not None and not self.af_nominal_variance > 0.0:
@@ -286,22 +290,12 @@ def _make_af_errors(nominal_variance: float) -> ErrorFn:
 
 
 def _analytic_cm(network: NetworkConfig) -> float:
-    """Asymptotic variance the estimator should reach at this point.
-
-    A total power budget keeps snr_inv = sigma_v^2 / P_T for all L; a fixed
-    per-sensor budget drives the channel-noise share to zero as the network
-    grows, so its asymptote is the snr_inv = 0 objective.
-    """
-    snr_inv = (
-        network.channel_noise_variance / network.power.p_t
-        if isinstance(network.power, TotalPower)
-        else 0.0
-    )
+    """Asymptotic variance the estimator should reach at this point."""
     try:
         ctx = asv.AsvContext(
             noise=network.noise,
-            snr_inv=snr_inv,
-            fading_penalty=asv.fading_penalty(network.fading),
+            snr_inv=network.snr_inv,
+            fading_penalty=network.fading.penalty(),
         )
         return asv.asv_generic(ctx, network.omega)
     except (CfZeroError, UnsupportedModelError):
@@ -309,9 +303,8 @@ def _analytic_cm(network: NetworkConfig) -> float:
 
 
 def _analytic_af(network: NetworkConfig) -> float:
-    snr_inv = network.channel_noise_variance / network.power.p_t
     try:
-        return asv.asv_af(network.theta, network.noise.variance(), snr_inv)
+        return asv.asv_af(network.theta, network.noise.variance(), network.snr_inv)
     except (MomentUndefinedError, UnsupportedModelError):
         return math.nan
 
@@ -365,7 +358,7 @@ def _fading_plans(spec: ExperimentSpec) -> List[TrackPlan]:
 
 def _fading_finish(spec: ExperimentSpec, tracks: Dict[str, _Track]) -> None:
     faded, unfaded = tracks["faded"].result, tracks["unfaded"].result
-    faded.metadata["fading_penalty"] = asv.fading_penalty(spec.network.fading)
+    faded.metadata["fading_penalty"] = spec.network.fading.penalty()
     # an unfaded variance of 0 (every estimate equal) leaves no ratio
     faded.metadata["measured_ratio_by_point"] = [
         f.normalized_variance / u.normalized_variance
@@ -616,27 +609,23 @@ def run_kind(spec: ExperimentSpec, threads: int = 1) -> Dict[str, ExperimentResu
     return {label: replace(t.result, wall_time_s=wall) for label, t in tracks.items()}
 
 
-def _is_compared(rec: SweepRecord) -> bool:
-    return math.isfinite(rec.analytic_asv) and math.isfinite(rec.normalized_variance)
-
-
-def compared_points(result: ExperimentResult) -> int:
-    """Points that have both a finite analytic value and a variance estimate."""
-    return sum(_is_compared(rec) for rec in result.records)
-
-
-def check_against_analytic(result: ExperimentResult, tolerance: float) -> List[Dict]:
-    """Points where simulation and analytic variance disagree beyond tolerance.
+def check_against_analytic(
+    result: ExperimentResult, tolerance: float
+) -> Tuple[List[Dict], int]:
+    """Points where simulation and analytic variance disagree beyond
+    tolerance, and the number of points compared: those with both a finite
+    analytic value and a variance estimate.
 
     A point with a finite analytic value that was given at least two trials
     (finite ones plus the track's ``degenerate_trials``) fails when it has
     no finite variance estimate.  Points without a finite analytic value,
-    and single-draw points, are not compared; see ``compared_points``.
+    and single-draw points, are not compared.
     """
     degenerate = result.metadata.get("degenerate_trials", [0] * len(result.records))
-    failures = []
+    failures, compared = [], 0
     for rec, n_degenerate in zip(result.records, degenerate):
-        if _is_compared(rec):
+        if math.isfinite(rec.analytic_asv) and math.isfinite(rec.normalized_variance):
+            compared += 1
             # a theory value of 0 (1 - phi(2*omega) cancelled) agrees with nothing
             rel = (
                 abs(rec.normalized_variance / rec.analytic_asv - 1.0)
@@ -656,7 +645,7 @@ def check_against_analytic(result: ExperimentResult, tolerance: float) -> List[D
                     "relative_deviation": rel,
                 }
             )
-    return failures
+    return failures, compared
 
 
 # ---------------------------------------------------------------------------
@@ -889,7 +878,7 @@ def _curve_arguments(theta_range, noise, snr_inv, fading, n_points, omegas) -> D
         omegas = asv.default_omega_grid(theta_range, n_points or 2000)
     elif n_points is not None:
         raise ConfigError("give n_points or omegas, not both")
-    ctx = asv.AsvContext(noise, snr_inv, asv.fading_penalty(fading))
+    ctx = asv.AsvContext(noise, snr_inv, fading.penalty())
     return {"ctx": ctx, "omegas": omegas}
 
 
@@ -982,18 +971,17 @@ def write_text(path, text: str | None = None) -> Path:
     return path
 
 
-def write_result(result: ExperimentResult, path, fmt: str = "csv") -> Path:
-    return write_text(path, render(result, fmt))
-
-
 def write_tracks(
     tracks: Dict[str, ExperimentResult], base_path, fmt: str = "csv"
 ) -> List[Path]:
-    """Write one file per track, suffixing the track label before the extension."""
+    """Write one file per track, suffixing the track label before the
+    extension; a single track is written to ``base_path`` itself."""
     base = Path(base_path)
-    if len(tracks) == 1:
-        return [write_result(next(iter(tracks.values())), base, fmt)]
+    suffix = base.suffix or "." + fmt
     return [
-        write_result(result, base.with_name(f"{base.stem}.{label}{base.suffix or '.' + fmt}"), fmt)
+        write_text(
+            base if len(tracks) == 1 else base.with_name(f"{base.stem}.{label}{suffix}"),
+            render(result, fmt),
+        )
         for label, result in tracks.items()
     ]

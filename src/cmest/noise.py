@@ -37,17 +37,20 @@ def _require_positive(what: str, value: float) -> None:
 class NoiseModel:
     """Common interface of all sensing-noise distributions."""
 
-    def cf(self, omega):
-        """Characteristic function E[exp(j*omega*eta)], real by symmetry."""
+    def _log_cf(self, omega):
+        """log cf(omega); a model that has it gets ``cf`` and
+        ``cf_complement`` from it."""
         raise UnsupportedModelError(
             f"{type(self).__name__} has no single characteristic function"
         )
 
+    def cf(self, omega):
+        """Characteristic function E[exp(j*omega*eta)], real by symmetry."""
+        return np.exp(self._log_cf(omega))
+
     def cf_complement(self, omega):
         """1 - cf(omega), computed without cancelling as cf(omega) nears 1."""
-        raise UnsupportedModelError(
-            f"{type(self).__name__} has no single characteristic function"
-        )
+        return -np.expm1(self._log_cf(omega))
 
     def variance(self) -> float:
         raise MomentUndefinedError(f"{type(self).__name__} variance undefined")
@@ -55,8 +58,8 @@ class NoiseModel:
     def excess_kurtosis(self) -> float:
         raise MomentUndefinedError(f"{type(self).__name__} kurtosis undefined")
 
-    def sample(self, rng: np.random.Generator, size=None, out=None, work=None):
-        """Noise draws of shape ``size``, or one float when ``size`` is None.
+    def sample(self, rng: np.random.Generator, size, out=None, work=None):
+        """Noise draws of shape ``size``.
 
         ``out``, a C-contiguous float64 array of that shape, may receive the
         draw in place; always use the returned array.  ``work``, two more
@@ -89,11 +92,8 @@ class Gaussian(NoiseModel):
     def __post_init__(self):
         _require_positive("Gaussian variance", self.variance_)
 
-    def cf(self, omega):
-        return np.exp(-0.5 * self.variance_ * np.square(omega))
-
-    def cf_complement(self, omega):
-        return -np.expm1(-0.5 * self.variance_ * np.square(omega))
+    def _log_cf(self, omega):
+        return -0.5 * self.variance_ * np.square(omega)
 
     def variance(self) -> float:
         return self.variance_
@@ -101,7 +101,7 @@ class Gaussian(NoiseModel):
     def excess_kurtosis(self) -> float:
         return 0.0
 
-    def sample(self, rng, size=None, out=None, work=None):
+    def sample(self, rng, size, out=None, work=None):
         draw = rng.standard_normal(size, out=out)
         draw *= math.sqrt(self.variance_)
         return draw
@@ -120,6 +120,7 @@ class Laplace(NoiseModel):
     def scale(self) -> float:
         return math.sqrt(self.variance_ / 2.0)
 
+    # a rational pair, not a log-cf: exp(-log1p(x)) is not bit-equal to 1/(1+x)
     def cf(self, omega):
         return 1.0 / (1.0 + (self.variance_ / 2.0) * np.square(omega))
 
@@ -133,7 +134,7 @@ class Laplace(NoiseModel):
     def excess_kurtosis(self) -> float:
         return 3.0
 
-    def sample(self, rng, size=None, out=None, work=None):
+    def sample(self, rng, size, out=None, work=None):
         return rng.laplace(0.0, self.scale, size)  # no ``out`` in numpy's laplace
 
 
@@ -146,13 +147,10 @@ class Cauchy(NoiseModel):
     def __post_init__(self):
         _require_positive("Cauchy scale", self.scale)
 
-    def cf(self, omega):
-        return np.exp(-self.scale * np.abs(omega))
+    def _log_cf(self, omega):
+        return -self.scale * np.abs(omega)
 
-    def cf_complement(self, omega):
-        return -np.expm1(-self.scale * np.abs(omega))
-
-    def sample(self, rng, size=None, out=None, work=None):
+    def sample(self, rng, size, out=None, work=None):
         # Inversion: gamma * tan(pi (U - 1/2)).
         draw = rng.random(size, out=out)
         draw -= 0.5
@@ -214,7 +212,7 @@ class Uniform(NoiseModel):
     def excess_kurtosis(self) -> float:
         return -1.2
 
-    def sample(self, rng, size=None, out=None, work=None):
+    def sample(self, rng, size, out=None, work=None):
         # rng.uniform(-a, a)'s own order: low + (high - low) * u
         a = self.half_width
         draw = rng.random(size, out=out)
@@ -325,12 +323,6 @@ class ClassA(NoiseModel):
         with np.errstate(over="ignore"):
             return t * background + a * np.expm1(t * impulsive)
 
-    def cf(self, omega):
-        return np.exp(self._log_cf(omega))
-
-    def cf_complement(self, omega):
-        return -np.expm1(self._log_cf(omega))
-
     def variance(self) -> float:
         # E[X] = variance regardless of overlap/background split.
         return self.variance_
@@ -339,9 +331,7 @@ class ClassA(NoiseModel):
         # kappa = 3 var(X) / E[X]^2 for a compound Gaussian sqrt(X)*G.
         return 3.0 / (self.overlap * (self.background_ratio + 1.0) ** 2)
 
-    def sample(self, rng, size=None, out=None, work=None):
-        if size is None:
-            return float(self.sample(rng, 1)[0])
+    def sample(self, rng, size, out=None, work=None):
         # sqrt(X) * G: all of the chunk's uniforms pick their Poisson counts
         # by CDF inversion, then all of its normals are drawn.
         thresholds, scales, bin_scales = _class_a_tables(

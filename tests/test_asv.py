@@ -14,7 +14,6 @@ from cmest.asv import (
     asv_small_omega,
     asv_upper_bound,
     default_omega_grid,
-    fading_penalty,
     sample_curve,
 )
 from cmest.channel import NoFading, RayleighFading, RiceanFading
@@ -373,12 +372,12 @@ class TestCurveShape:
 
 class TestFadingPenalty:
     def test_values(self):
-        assert fading_penalty(NoFading()) == 1.0
-        assert fading_penalty(RayleighFading()) == pytest.approx(4.0 / math.pi)
-        assert fading_penalty(RiceanFading(k_factor=0.0)) == pytest.approx(
+        assert NoFading().penalty() == 1.0
+        assert RayleighFading().penalty() == pytest.approx(4.0 / math.pi)
+        assert RiceanFading(k_factor=0.0).penalty() == pytest.approx(
             4.0 / math.pi, rel=1e-10
         )
-        assert fading_penalty(RiceanFading(k_factor=5.0)) == pytest.approx(
+        assert RiceanFading(k_factor=5.0).penalty() == pytest.approx(
             ricean_fading_penalty(5.0), rel=1e-14
         )
 

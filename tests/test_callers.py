@@ -66,3 +66,23 @@ def test_every_public_name_has_a_caller():
     assert dead - ALLOWED_WITHOUT_CALLER.keys() == set()
     # an allowed name that gains a caller leaves the list
     assert ALLOWED_WITHOUT_CALLER.keys() - dead == set()
+
+
+def _imported_modules(path):
+    """Dotted names of every module (or module member) a file imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_asv_does_not_import_the_channel():
+    # asv is the formula over the models' quantities: the fading penalty and
+    # snr_inv come from the channel's models, so asv needs nothing from it
+    imported = _imported_modules(ROOT / "src" / "cmest" / "asv.py")
+    assert [name for name in imported if "channel" in name.split(".")] == []

@@ -49,8 +49,8 @@ class _ZeroNoise(NoiseModel):
     def excess_kurtosis(self):
         return 0.0
 
-    def sample(self, rng, size=None, out=None, work=None):
-        return np.zeros(() if size is None else size)
+    def sample(self, rng, size, out=None, work=None):
+        return np.zeros(size)
 
 
 def _config(**kw):
@@ -126,6 +126,19 @@ class TestNetworkConfig:
         # a per-sensor budget has no sigma_v^2 / p_t, and a finite ratio passes
         _config(channel_noise_variance=1e308, power=PerSensorPower(rho=1e-308))
         _config(channel_noise_variance=1e300, power=TotalPower(p_t=1e-5))
+
+    @pytest.mark.parametrize(
+        "power, variance",
+        [(TotalPower(p_t=10.0), 1.0), (TotalPower(p_t=3.0), 0.7),
+         (TotalPower(p_t=1e-5), 1e300), (PerSensorPower(rho=2.0), 1.0),
+         (PerSensorPower(rho=1e-308), 1e308)],
+    )
+    def test_snr_inv(self, power, variance):
+        # sigma_v^2 / P_T under a total budget; the snr_inv = 0 asymptote
+        # under a per-sensor one
+        cfg = _config(power=power, channel_noise_variance=variance)
+        expected = variance / power.p_t if isinstance(power, TotalPower) else 0.0
+        assert cfg.snr_inv == expected
 
     def test_power_modes(self):
         assert PerSensorPower(rho=2.0).per_sensor_power(100) == 2.0

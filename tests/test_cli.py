@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import threading
@@ -414,6 +415,35 @@ class TestErrorPaths:
         assert done.stderr.startswith("config error:")
         assert "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize(
+        "case", ["config-1e300", "flag-1e23", "hetero-1e14", "scale-1e300", "scale-1e308"]
+    )
+    def test_unbounded_trials_are_config_errors(self, tmp_path, case):
+        # these overflowed the block bookkeeping, ran out of memory or
+        # overflowed round(): each ended in a traceback
+        d = _tiny_spec_dict(trials=1e300)
+        cli_run = ["-m", "cmest.cli"]
+        script = [str(_FIGURE_SCRIPT), "--figs", "fig1", "--outdir", str(tmp_path)]
+        argv = {
+            "config-1e300": [*cli_run, "simulate", "--config", _write_config(tmp_path, d)],
+            "flag-1e23": [*cli_run, "simulate", "--preset", "fig2", "--trials", "1" + "0" * 23],
+            "hetero-1e14": [*cli_run, "hetero", "--preset", "hetero", "--trials", "1" + "0" * 14],
+            "scale-1e300": [*script, "--trials-scale", "1e300"],
+            "scale-1e308": [*script, "--trials-scale", "1e308"],
+        }[case]
+
+        def cap_memory():  # a run that starts anyway fails fast, not the host
+            resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(cmest.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, *argv], env=env, capture_output=True, text=True,
+            timeout=300, preexec_fn=cap_memory,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("config error:")
+        assert "Traceback" not in done.stderr
+
     def test_out_under_a_file_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
         # the output's directory is made before any experiment runs, so a
         # parent that is a regular file fails at once, not after the run
@@ -514,9 +544,7 @@ class TestAsvCurve:
         ctx = asv.AsvContext(
             noise_from_dict(cfg["noise"]),
             0.1,
-            fading_penalty=asv.fading_penalty(
-                harness._FADING.read(cfg["fading"], "fading")
-            ),
+            fading_penalty=harness._FADING.read(cfg["fading"], "fading").penalty(),
         )
         if "omegas" in grid:
             omegas = np.array(grid["omegas"])

@@ -27,7 +27,6 @@ from cmest.harness import (
     SweepRecord,
     TrialAccumulator,
     check_against_analytic,
-    compared_points,
     result_to_csv,
     result_to_json,
     run_kind,
@@ -189,6 +188,13 @@ class TestRunExperiment:
     def test_kind_and_sweep_must_agree(self):
         with pytest.raises(ConfigError):
             run_kind(_spec(kind="var-vs-L"))
+
+    def test_trials_cap(self):
+        # the engine's per-block bookkeeping bounds the trials of a point
+        assert _spec(trials=2 ** 30).trials == 2 ** 30
+        for trials in (0, 2 ** 30 + 1, 10 ** 400):
+            with pytest.raises(ConfigError, match=r"trials must lie in \[1, 2\*\*30\]"):
+                _spec(trials=trials)
 
     def test_invalid_sweep_value_propagates_config_error(self):
         spec = _spec(sweep=Sweep("omega", (0.3, 100.0)))  # beyond 2*pi/theta_range
@@ -717,10 +723,10 @@ class TestSerialization:
 class TestCheck:
     def test_detects_mismatch(self):
         result = run_kind(_spec(network=_network(n_sensors=500), trials=5000))["cm"]
-        assert check_against_analytic(result, tolerance=0.2) == []
-        failures = check_against_analytic(result, tolerance=1e-9)
+        assert check_against_analytic(result, tolerance=0.2) == ([], 2)
+        failures, compared = check_against_analytic(result, tolerance=1e-9)
         assert failures and {"sweep_value", "relative_deviation"} <= set(failures[0])
-        assert compared_points(result) == 2
+        assert compared == 2
 
     def test_point_without_finite_trials_fails(self):
         # theory has a value and 400 trials were drawn, but none is finite
@@ -731,9 +737,9 @@ class TestCheck:
         result = ExperimentResult(
             records=records, metadata={"degenerate_trials": [400, 400]}
         )
-        failures = check_against_analytic(result, tolerance=0.5)
+        failures, compared = check_against_analytic(result, tolerance=0.5)
         assert [(f["sweep_value"], f["n_trials"]) for f in failures] == [(0.3, 0)]
-        assert compared_points(result) == 0
+        assert compared == 0
 
     def test_single_draw_point_is_not_compared(self):
         # a one-trial trace (as in cauchy-robustness) has no variance whether
@@ -745,8 +751,7 @@ class TestCheck:
         result = ExperimentResult(
             records=records, metadata={"degenerate_trials": [0, 1]}
         )
-        assert check_against_analytic(result, tolerance=0.5) == []
-        assert compared_points(result) == 0
+        assert check_against_analytic(result, tolerance=0.5) == ([], 0)
 
     def test_zero_analytic_value_fails(self):
         # at omega 3.8e-89, 1 - phi(2*omega) cancels to 0 and so does the
@@ -756,8 +761,9 @@ class TestCheck:
             SweepRecord(5.0, 3, 1.0, 0.1, 0.0, 0.0),
         ]
         result = ExperimentResult(records=records, metadata={})
-        failures = check_against_analytic(result, tolerance=0.5)
+        failures, compared = check_against_analytic(result, tolerance=0.5)
         assert [f["relative_deviation"] for f in failures] == [math.inf, math.inf]
+        assert compared == 2
 
 
 
