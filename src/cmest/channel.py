@@ -13,19 +13,23 @@ phase, which keeps transmissions constant-modulus).
 Stream discipline per batch: a batch is walked in row chunks of a fixed
 sensor-sample budget.  The draw stage ``_draw_chunks`` is the one place the
 draw order lives: each chunk draws its sensing noise, then its fading gains
-(CM only): Rayleigh one unit exponential per gain, Ricean the chunk's unit
-exponential block, then its uniform block.  The reduce stages (CM's
-``_cm_row_sums``, AF's row sum) only read a chunk's draws, so one draw can
-feed several reductions.  Channel noise for the whole batch is drawn after
-the last chunk.  Identical seed and config replay bit-identically.  Draws
-go into work arrays allocated once per batch; Laplace noise (also as the
-base of per-sensor scaling) still allocates per chunk.
+(CM only).  Per chunk, Gaussian noise draws an exponential block, then a
+uniform block (Box-Muller, half a block each); Laplace the same, a full
+block each; Class-A its lookup uniforms, then an exponential and a uniform
+half block; uniform and Cauchy noise one uniform block.  Rayleigh gains
+draw one unit exponential per gain, Ricean the chunk's unit exponential
+block, then its uniform block.  The reduce stages (CM's ``_cm_row_sums``,
+AF's row sum) only read a chunk's draws, so one draw can feed several
+reductions.  Channel noise for the whole batch is drawn after the last
+chunk.  Identical seed and config replay bit-identically.  Draws go into
+work arrays allocated once per batch.
 
 Precision of the constant-modulus kernel: the phase omega*eta is formed and
 wrapped to [-pi, pi] in float64, its cos/sin are taken in float32 (about
 1e-7 rad), one float64 Newton step restores the unit modulus to about
 1e-14, and row sums and the final rotation by exp(j*omega*theta) are
-float64.  Ricean gains take the cos of their uniform phase in float32 too.
+float64.  Ricean gains and the Box-Muller normals take their trig in float32
+too.
 """
 
 import cmath
@@ -186,9 +190,9 @@ class NetworkConfig:
         if self.n_sensors < 1:
             raise ConfigError(f"need at least one sensor, got {self.n_sensors}")
         if self.n_sensors > _MAX_SENSORS:
-            raise ConfigError(
-                f"n_sensors must be at most 2**53, got {self.n_sensors:.6g}"
-            )
+            # .6g converts to float64, which a JSON integer can outgrow
+            shown = f"{self.n_sensors:.6g}" if self.n_sensors < 1e308 else "over 1e308"
+            raise ConfigError(f"n_sensors must be at most 2**53, got {shown}")
         if not self.theta_range > 0.0:
             raise ConfigError(f"theta_range must be > 0, got {self.theta_range}")
         if not 0.0 <= self.theta <= self.theta_range:

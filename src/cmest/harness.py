@@ -86,6 +86,14 @@ BLOCK_TRIALS = 4096
 _MAX_TRIALS = 2 ** 30
 
 
+def _shown_count(value: int) -> str:
+    """A config integer for an error message.  ``.6g`` converts to float64,
+    which a JSON integer can outgrow."""
+    if abs(value) < 1e308:
+        return f"{value:.6g}"
+    return "over 1e308" if value > 0 else "below -1e308"
+
+
 # ---------------------------------------------------------------------------
 # Streaming statistics
 # ---------------------------------------------------------------------------
@@ -179,9 +187,9 @@ class ExperimentSpec:
                 f"kind must be one of {tuple(_KINDS)}, got {self.kind!r}"
             )
         if not 1 <= self.trials <= _MAX_TRIALS:
-            # .6g converts to float64, which a JSON integer can outgrow
-            shown = f"{self.trials:.6g}" if self.trials < 1e308 else "over 1e308"
-            raise ConfigError(f"trials must lie in [1, 2**30], got {shown}")
+            raise ConfigError(
+                f"trials must lie in [1, 2**30], got {_shown_count(self.trials)}"
+            )
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"seed must be a 64-bit unsigned int, got {self.seed}")
         if self.af_nominal_variance is not None and not self.af_nominal_variance > 0.0:
@@ -705,7 +713,7 @@ def _curve_points(value, what: str) -> int:
     n_points = _integer(value, what)
     if not 1 <= n_points <= _MAX_CURVE_POINTS:
         raise ConfigError(
-            f"n_points must lie in [1, {_MAX_CURVE_POINTS}], got {n_points:.6g}"
+            f"n_points must lie in [1, {_MAX_CURVE_POINTS}], got {_shown_count(n_points)}"
         )
     return n_points
 

@@ -34,6 +34,32 @@ def _require_positive(what: str, value: float) -> None:
         raise DomainError(f"{what} must be finite and > 0, got {value}")
 
 
+def _fill_normals(rng, out: np.ndarray, sd: float, work=None) -> np.ndarray:
+    """Fill the C-contiguous float64 array ``out`` with sd * N(0, 1) draws.
+
+    Box & Muller (1958): for a unit exponential E and a uniform U,
+    sqrt(2E) * (cos 2piU, sin 2piU) are two independent unit normals.  Of
+    the n values, h = ceil(n/2) pairs are drawn: their exponentials first,
+    into ``work`` (float64 scratch with at least h values) when given, then
+    their uniforms into ``out``.  The cosines fill the first h values and
+    the sines the other n - h, so an odd block drops its last sine.  cos and
+    sin are taken in float32, as the kernel's trig is.
+    """
+    flat = out.reshape(-1)
+    n = flat.size
+    h, k = n - n // 2, n // 2
+    r = rng.standard_exponential(h, out=None if work is None else work.reshape(-1)[:h])
+    np.sqrt(r, out=r)
+    r *= math.sqrt(2.0) * sd  # sd * sqrt(2E), which cannot overflow
+    angle = rng.random(h, out=flat[:h])
+    angle *= 2.0 * math.pi
+    np.sin(angle[:k], out=flat[h:], dtype=np.float32, casting="same_kind")
+    np.cos(angle, out=angle, dtype=np.float32, casting="same_kind")
+    angle *= r
+    flat[h:] *= r[:k]
+    return out
+
+
 class NoiseModel:
     """Common interface of all sensing-noise distributions."""
 
@@ -102,9 +128,12 @@ class Gaussian(NoiseModel):
         return 0.0
 
     def sample(self, rng, size, out=None, work=None):
-        draw = rng.standard_normal(size, out=out)
-        draw *= math.sqrt(self.variance_)
-        return draw
+        return _fill_normals(
+            rng,
+            np.empty(size) if out is None else out,
+            math.sqrt(self.variance_),
+            None if work is None else work[0],
+        )
 
 
 @dataclass(frozen=True)
@@ -135,7 +164,14 @@ class Laplace(NoiseModel):
         return 3.0
 
     def sample(self, rng, size, out=None, work=None):
-        return rng.laplace(0.0, self.scale, size)  # no ``out`` in numpy's laplace
+        # b * E with the sign of U - 1/2: the exponential block, then the
+        # uniform block
+        draw = rng.standard_exponential(size, out=out)
+        sign = rng.random(size, out=None if work is None else work[0])
+        sign -= 0.5
+        np.copysign(draw, sign, out=draw)
+        draw *= self.scale
+        return draw
 
 
 @dataclass(frozen=True)
@@ -333,7 +369,8 @@ class ClassA(NoiseModel):
 
     def sample(self, rng, size, out=None, work=None):
         # sqrt(X) * G: all of the chunk's uniforms pick their Poisson counts
-        # by CDF inversion, then all of its normals are drawn.
+        # by CDF inversion, then all of its normals are drawn.  The uniforms
+        # and bin indices are free after the lookup; the scales are not.
         thresholds, scales, bin_scales = _class_a_tables(
             self.overlap, self.background_ratio, self.variance_
         )
@@ -347,7 +384,7 @@ class ClassA(NoiseModel):
         straddling = np.flatnonzero(np.isnan(scale))
         counts = np.searchsorted(thresholds, u.flat[straddling], side="right")
         scale.flat[straddling] = scales[counts]
-        draws = rng.standard_normal(size, out=u)
+        draws = _fill_normals(rng, u, 1.0, work[0])
         draws *= scale
         return draws
 

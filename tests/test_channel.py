@@ -346,9 +346,14 @@ class TestStreamingKernel:
 
     @pytest.mark.parametrize("noise", [Gaussian(1.0), Laplace(1.0), Cauchy(1.0)])
     def test_cm_matches_float64_reference_on_shared_draws(self, noise):
+        # Gaussian and Laplace draw two blocks per chunk, so only the
+        # chunk-walking reference shares their draws
         cfg = _config(noise=noise)
+        reference = (
+            _reference_cm_batch if isinstance(noise, Cauchy) else _reference_faded_cm_batch
+        )
         y = cm_snapshot_batch(cfg, 1000, np.random.default_rng(5))
-        y_ref = _reference_cm_batch(cfg, 1000, np.random.default_rng(5))
+        y_ref = reference(cfg, 1000, np.random.default_rng(5))
         est = cm_estimates(y, cfg.n_sensors, cfg.omega, cfg.power)
         est_ref = cm_estimates(y_ref, cfg.n_sensors, cfg.omega, cfg.power)
         assert np.max(np.abs(est - est_ref)) <= 1e-5 * np.std(est_ref)
@@ -385,9 +390,7 @@ class TestStreamingKernel:
         est_ref = cm_estimates(y_ref, cfg.n_sensors, cfg.omega, cfg.power)
         assert np.max(np.abs(est - est_ref)) <= 1e-5 * np.std(est_ref)
 
-    @pytest.mark.parametrize(
-        "noise", [Gaussian(1.0), Laplace(1.0), Uniform(1.0), Cauchy(1.0)]
-    )
+    @pytest.mark.parametrize("noise", [Uniform(1.0), Cauchy(1.0)])
     def test_af_bit_identical_to_whole_matrix(self, noise):
         cfg = _config(noise=noise)
         y = af_snapshot_batch(cfg, 1.0, np.random.default_rng(6), 1000)
@@ -409,9 +412,10 @@ class TestStreamingKernel:
         _assert_same_bits(y, y_ref)
 
     @pytest.mark.parametrize("shape", _BIT_SHAPES.values(), ids=_BIT_SHAPES.keys())
-    @pytest.mark.parametrize("noise", ["class-a", "hetero-class-a"])
+    @pytest.mark.parametrize("noise", ["gaussian", "laplace", "class-a", "hetero-class-a"])
     def test_af_bit_identical_to_chunked_reference(self, noise, shape):
-        # Class-A draws two blocks per chunk, so whole-matrix AF differs
+        # these models draw two or three blocks per chunk, so whole-matrix AF
+        # differs
         n_sensors, n_trials = shape
         cfg = _config(n_sensors=n_sensors, noise=_BIT_NOISES[noise])
         y = af_snapshot_batch(cfg, 1.0, np.random.default_rng(12), n_trials)

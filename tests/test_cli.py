@@ -190,6 +190,38 @@ class TestErrorPaths:
         p.write_text("{not json")
         assert main(["simulate", "--config", str(p)]) == 2
 
+    @pytest.mark.parametrize(
+        "command, key, value, message",
+        [
+            ("simulate", ("network", "n_sensors"), 10 ** 400,
+             "n_sensors must be at most 2**53, got over 1e308"),
+            ("simulate", ("trials",), -10 ** 400,
+             "trials must lie in [1, 2**30], got below -1e308"),
+            ("asv-curve", ("n_points",), 10 ** 400,
+             "n_points must lie in [1, 100000], got over 1e308"),
+            ("asv-curve", ("n_points",), -10 ** 400,
+             "n_points must lie in [1, 100000], got below -1e308"),
+        ],
+        ids=["n_sensors", "trials", "n_points", "negative-n_points"],
+    )
+    def test_integer_beyond_float64_is_config_error(
+        self, tmp_path, command, key, value, message
+    ):
+        # the message's .6g would convert the JSON integer to float64
+        if command == "simulate":
+            d = _tiny_spec_dict(trials=2)
+        else:
+            d = {"noise": {"kind": "gaussian", "variance": 1.0}, "theta_range": 12.0}
+        *parents, last = key
+        target = d
+        for p in parents:
+            target = target[p]
+        target[last] = value
+        done = _run_cli(command, "--config", _write_config(tmp_path, d), timeout=60)
+        assert done.returncode == 2
+        assert done.stderr == f"config error: {message}\n"
+        assert "Traceback" not in done.stderr
+
     def test_overflowing_noise_ratio_fails_before_any_block(
         self, tmp_path, capsys, monkeypatch
     ):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from cmest import asv, noise
 from cmest.errors import DomainError, MomentUndefinedError, UnsupportedModelError
@@ -37,6 +38,18 @@ FINITE_VARIANCE_MODELS = [
     Uniform(variance_=1.5),
     ClassA(overlap=0.3, background_ratio=0.1, variance_=1.0),
 ]
+
+
+def _box_muller(rng, size, sd=1.0):
+    """sd * N(0, 1) of shape ``size`` as one expression per half: h =
+    ceil(n/2) exponentials, then h uniforms; the h cosines, then the sines
+    of all but an odd block's last pair, with float32 cos and sin."""
+    n = math.prod(np.atleast_1d(size))
+    h = n - n // 2
+    r = (math.sqrt(2.0) * sd) * np.sqrt(rng.standard_exponential(h))
+    angle = (2.0 * math.pi * rng.random(h)).astype(np.float32)
+    cos, sin = np.cos(angle).astype(float), np.sin(angle).astype(float)
+    return np.concatenate([r * cos, (r * sin)[: n // 2]]).reshape(size)
 
 
 def _class_a_log_cf(overlap, big_t, variance, omega):
@@ -261,21 +274,53 @@ class TestSamplers:
 
     @pytest.mark.parametrize("model", ALL_IID_MODELS)
     def test_buffered_sensor_draw_equals_sample(self, model):
-        # Gaussian, Cauchy, uniform and Class-A write into the caller's
-        # buffer; every model returns the values of one allocating draw, bit
-        # for bit
+        # every model writes into the caller's buffer and returns the values
+        # of one allocating draw, bit for bit
         buf = np.empty((8, 300))
         drawn = model.sample_sensors(np.random.default_rng(21), 5, 300, out=buf[:5])
         np.testing.assert_array_equal(
             drawn, model.sample(np.random.default_rng(21), (5, 300))
         )
-        in_place = isinstance(model, (Gaussian, Cauchy, Uniform, ClassA))
-        assert np.shares_memory(drawn, buf) == in_place
+        assert np.shares_memory(drawn, buf)
+
+    @pytest.mark.parametrize("model", ALL_IID_MODELS)
+    @pytest.mark.parametrize("size", [9, (3, 7), (1, 2 ** 15 + 3)])
+    def test_same_values_with_and_without_buffers(self, model, size):
+        # odd sizes too: a Box-Muller block drops its last sine
+        expected = model.sample(np.random.default_rng(4), size)
+        out, w1, w2 = (np.full(size, np.nan) for _ in range(3))
+        drawn = model.sample(np.random.default_rng(4), size, out=out, work=(w1, w2))
+        np.testing.assert_array_equal(drawn, expected)
+        assert np.shares_memory(drawn, out)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            Gaussian(1.0),
+            Laplace(1.0),
+            ClassA(0.1, 0.1, 1.0),
+            HeterogeneousScaled(Gaussian(1.0), LinearGrowthScales(1.0)),
+        ],
+        ids=["gaussian", "laplace", "class-a", "hetero"],
+    )
+    @pytest.mark.parametrize("shape", [(65, 500), (65, 499)], ids=["even", "odd"])
+    def test_no_chunk_sized_allocation_with_work(self, model, shape):
+        out, w1, w2 = (np.empty(shape) for _ in range(3))
+        model.sample_sensors(np.random.default_rng(1), *shape, out=out, work=(w1, w2))
+        tracemalloc.start()
+        try:
+            model.sample_sensors(np.random.default_rng(2), *shape, out=out, work=(w1, w2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # numpy's casting buffers for the float32 trig hold about 64 KB; a
+        # Box-Muller half block would be half the chunk
+        assert peak < out.nbytes // 2
 
     @pytest.mark.parametrize(
         "model, textbook",
         [
-            (Gaussian(2.5), lambda rng, s: math.sqrt(2.5) * rng.standard_normal(s)),
+            (Gaussian(2.5), lambda rng, s: _box_muller(rng, s, math.sqrt(2.5))),
             (Cauchy(0.5), lambda rng, s: 0.5 * np.tan(np.pi * (rng.random(s) - 0.5))),
             (Uniform(1.0), lambda rng, s: rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), s)),
         ],
@@ -313,12 +358,53 @@ def _poisson_inversion(rng, lam, size):
     return out
 
 
-def _textbook_class_a(model, rng, size):
-    """sqrt(X) * G with X = variance * (Y / (A (T+1)) + T/(T+1)), Y ~ Poisson(A)."""
+def _textbook_class_a(model, rng, size, normals=_box_muller):
+    """sqrt(X) * G with X = variance * (Y / (A (T+1)) + T/(T+1)), Y ~ Poisson(A),
+    and G drawn as ``normals(rng, shape)``."""
     y = _poisson_inversion(rng, model.overlap, size)
     big_t = model.background_ratio
     x = model.variance_ * (y / (model.overlap * (big_t + 1.0)) + big_t / (big_t + 1.0))
-    return np.sqrt(x) * rng.standard_normal(np.shape(y))
+    return np.sqrt(x) * normals(rng, np.shape(y))
+
+
+def _laplace_cdf(x, b):
+    return np.where(x < 0.0, 0.5 * np.exp(x / b), 1.0 - 0.5 * np.exp(-x / b))
+
+
+class TestDrawDistributions:
+    """The Box-Muller normals and the exponential-sign Laplace against their
+    laws and against numpy's own samplers, at 200k draws."""
+
+    N = 200_000
+
+    @pytest.mark.parametrize("variance", [1.0, 2.5])
+    def test_gaussian_against_normal_cdf(self, variance):
+        draws = Gaussian(variance).sample(np.random.default_rng(31), self.N)
+        assert stats.kstest(draws, stats.norm(scale=math.sqrt(variance)).cdf).pvalue > 1e-3
+
+    def test_laplace_against_laplace_cdf(self):
+        model = Laplace(2.0)
+        draws = model.sample(np.random.default_rng(32), self.N)
+        assert stats.kstest(draws, lambda x: _laplace_cdf(x, model.scale)).pvalue > 1e-3
+
+    @pytest.mark.parametrize(
+        "model, numpy_draw",
+        [
+            (Gaussian(2.5), lambda rng, n: math.sqrt(2.5) * rng.standard_normal(n)),
+            (Laplace(2.0), lambda rng, n: rng.laplace(0.0, Laplace(2.0).scale, n)),
+            (
+                ClassA(0.5, 0.1, 1.7),
+                lambda rng, n: _textbook_class_a(
+                    ClassA(0.5, 0.1, 1.7), rng, n, np.random.Generator.standard_normal
+                ),
+            ),
+        ],
+        ids=["gaussian", "laplace", "class-a"],
+    )
+    def test_same_law_as_numpy_samplers(self, model, numpy_draw):
+        draws = model.sample(np.random.default_rng(33), self.N)
+        reference = numpy_draw(np.random.default_rng(34), self.N)
+        assert stats.ks_2samp(draws, reference).pvalue > 1e-3
 
 
 class TestClassASampler:
