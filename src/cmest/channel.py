@@ -40,7 +40,7 @@ from typing import Union
 import numpy as np
 
 from . import specfun
-from .errors import ConfigError
+from .errors import ConfigError, _shown_count
 from .noise import NoiseModel
 
 __all__ = [
@@ -187,12 +187,10 @@ class NetworkConfig:
     fading: FadingModel = field(default_factory=NoFading)
 
     def __post_init__(self):
-        if self.n_sensors < 1:
-            raise ConfigError(f"need at least one sensor, got {self.n_sensors}")
-        if self.n_sensors > _MAX_SENSORS:
-            # .6g converts to float64, which a JSON integer can outgrow
-            shown = f"{self.n_sensors:.6g}" if self.n_sensors < 1e308 else "over 1e308"
-            raise ConfigError(f"n_sensors must be at most 2**53, got {shown}")
+        if not 1 <= self.n_sensors <= _MAX_SENSORS:
+            rule = ("need at least one sensor" if self.n_sensors < 1
+                    else "n_sensors must be at most 2**53")
+            raise ConfigError(f"{rule}, got {_shown_count(self.n_sensors)}")
         if not self.theta_range > 0.0:
             raise ConfigError(f"theta_range must be > 0, got {self.theta_range}")
         if not 0.0 <= self.theta <= self.theta_range:

@@ -1,8 +1,16 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and how messages show integers.
 
 The CLI maps these onto exit codes: ConfigError -> 2, everything else
 here -> 3 (numeric/domain failures).
 """
+
+
+def _shown_count(value: int) -> str:
+    """A config integer for an error message.  ``.6g`` converts to float64,
+    which a JSON integer can outgrow."""
+    if abs(value) < 1e308:
+        return f"{value:.6g}"
+    return "over 1e308" if value > 0 else "below -1e308"
 
 
 class CmestError(Exception):

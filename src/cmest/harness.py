@@ -11,8 +11,8 @@ Trials are simulated in fixed-size blocks of ``BLOCK_TRIALS``.  Each block
 draws from its own child stream, derived counter-style from the root seed
 as SeedSequence(seed, spawn_key=(phase, point_index, block_index)), so
 results are bit-identical for a given spec regardless of how many worker
-threads execute the blocks.  One pool runs every (track, point, block) of a
-run; block accumulators are merged in block order.
+threads execute the blocks.  A run's (track, point, block) units are made
+lazily, a few per worker in flight; accumulators merge in block order.
 
 Normalized variance is L * var(theta_hat - theta) around the sample mean
 (population-style with the n-1 divisor); the bias is reported separately.
@@ -20,14 +20,15 @@ No trimming is applied anywhere except the robustness experiment's
 median-|error| track, since Cauchy errors have no variance.
 """
 
+import collections
+import itertools
 import json
 import math
 import numbers
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from .errors import (
     DomainError,
     MomentUndefinedError,
     UnsupportedModelError,
+    _shown_count,
 )
 from .estimators import af_estimates, cm_estimates
 from .noise import (
@@ -80,18 +82,10 @@ __all__ = [
 
 #: Trials per simulation block; fixed so seed lineage is thread-count free.
 BLOCK_TRIALS = 4096
-#: Most trials per point.  The engine keeps about 124 B of bookkeeping per
-#: block (its ``_block_sizes`` entry and work unit), so 2**30 trials, 262 144
-#: blocks, hold about 33 MB per track-point; presets use at most 2e5 trials.
+#: Most trials per point, as input validation: bookkeeping is flat in trials.
 _MAX_TRIALS = 2 ** 30
-
-
-def _shown_count(value: int) -> str:
-    """A config integer for an error message.  ``.6g`` converts to float64,
-    which a JSON integer can outgrow."""
-    if abs(value) < 1e308:
-        return f"{value:.6g}"
-    return "over 1e308" if value > 0 else "below -1e308"
+#: Units submitted and not yet merged, per worker of a multi-thread run.
+_UNITS_PER_WORKER = 4
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +206,10 @@ class SweepRecord:
 
 @dataclass
 class ExperimentResult:
-    """Records plus reproducibility metadata.
-
-    ``wall_time_s`` is kept in memory only; serialized files contain nothing
-    volatile, so identical specs and seeds produce byte-identical files.
-    """
+    """Records plus reproducibility metadata, with nothing volatile in either."""
 
     records: List[SweepRecord]
     metadata: Dict
-    wall_time_s: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -548,10 +537,9 @@ _KINDS = {
 def run_kind(spec: ExperimentSpec, threads: int = 1) -> Dict[str, ExperimentResult]:
     """Run every track of the spec's kind; returns {label: result} in plan order.
 
-    Every (track, point, block) unit runs on one pool of ``threads`` workers
-    (a plain loop for one thread); each point's block accumulators are merged
-    in block order on the calling thread.  Tracks overlap in time, so each
-    track's ``wall_time_s`` is the wall time of the whole run.
+    The (track, point, block) units are made lazily and run on one pool of
+    ``threads`` workers, a few per worker in flight (a plain loop for one
+    thread); each point's accumulators merge in block order on the caller.
     """
     kind = _KINDS[spec.kind]
     if spec.sweep.parameter not in kind.sweeps:
@@ -562,40 +550,41 @@ def run_kind(spec: ExperimentSpec, threads: int = 1) -> Dict[str, ExperimentResu
     threads = _integer(threads, "threads")
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
-    t0 = time.perf_counter()
     plans = kind.plans(spec)
-    configs = [
-        [_apply_sweep(plan.network, spec.sweep.parameter, v) for v in spec.sweep.values]
+    points = [
+        (plan, i, _apply_sweep(plan.network, spec.sweep.parameter, v))
         for plan in plans
+        for i, v in enumerate(spec.sweep.values)
     ]
-    units = [
-        (plan, config, i, b, n)
-        for plan, plan_configs in zip(plans, configs)
-        for i, config in enumerate(plan_configs)
-        for b, n in enumerate(_block_sizes(plan.trials))
-    ]
+    units = (  # ceil(trials / BLOCK_TRIALS) blocks, the last takes the rest
+        (point, b, min(BLOCK_TRIALS, point[0].trials - b * BLOCK_TRIALS))
+        for point in points
+        for b in range(-(-point[0].trials // BLOCK_TRIALS))
+    )
 
-    def work(unit) -> Tuple[TrialAccumulator, Optional[np.ndarray]]:
-        plan, config, i, b, n = unit
+    def work(unit) -> Tuple[tuple, TrialAccumulator, Optional[np.ndarray]]:
+        (plan, i, config), b, n = unit
         ss = np.random.SeedSequence(spec.seed, spawn_key=(plan.phase, i, b))
         errs = plan.error_fn(config, n, np.random.default_rng(ss))
         finite = errs[np.isfinite(errs)]
         acc = TrialAccumulator()
         acc.add_batch(finite)
-        return acc, finite if kind.keep_errors else None
+        return unit[0], acc, finite if kind.keep_errors else None
 
     tracks = {}
-    pool = ThreadPoolExecutor(min(threads, len(units))) if threads > 1 else None
+    workers = min(threads, sum(-(-plan.trials // BLOCK_TRIALS) for plan, _, _ in points))
+    pool = ThreadPoolExecutor(workers) if threads > 1 else None
     try:
-        blocks = pool.map(work, units) if pool else map(work, units)
-        for plan, plan_configs in zip(plans, configs):
+        blocks = _in_flight(pool, work, units, workers) if pool else map(work, units)
+        grouped = itertools.groupby(blocks, lambda r: r[0])  # one group per point
+        for plan in plans:
             records, accs, kept, degenerates = [], [], [], []
-            for value, config in zip(spec.sweep.values, plan_configs):
+            for value, ((_, _, config), results) in zip(spec.sweep.values, grouped):
                 acc, finite = TrialAccumulator(), []
-                for _ in _block_sizes(plan.trials):
-                    block_acc, errs = next(blocks)
+                for _, block_acc, errs in results:
                     acc.merge(block_acc)
-                    finite.append(errs)
+                    if kind.keep_errors:
+                        finite.append(errs)
                 analytic = plan.analytic_fn(config)
                 records.append(_record(value, acc, analytic, config.n_sensors))
                 accs.append(acc)
@@ -613,8 +602,17 @@ def run_kind(spec: ExperimentSpec, threads: int = 1) -> Dict[str, ExperimentResu
             pool.shutdown(cancel_futures=True)
     if kind.finish is not None:
         kind.finish(spec, tracks)
-    wall = time.perf_counter() - t0
-    return {label: replace(t.result, wall_time_s=wall) for label, t in tracks.items()}
+    return {label: t.result for label, t in tracks.items()}
+
+
+def _in_flight(pool, fn: Callable, units: Iterator, workers: int) -> Iterator:
+    """``map(fn, units)`` on the pool, in order, with ``_UNITS_PER_WORKER``
+    units per worker submitted ahead of the result being read."""
+    futures = (pool.submit(fn, unit) for unit in units)
+    pending = collections.deque(itertools.islice(futures, _UNITS_PER_WORKER * workers))
+    while pending:
+        pending.extend(itertools.islice(futures, 1))  # keeps the window full
+        yield pending.popleft().result()
 
 
 def check_against_analytic(

@@ -195,6 +195,8 @@ class TestErrorPaths:
         [
             ("simulate", ("network", "n_sensors"), 10 ** 400,
              "n_sensors must be at most 2**53, got over 1e308"),
+            ("simulate", ("network", "n_sensors"), -10 ** 4000,
+             "need at least one sensor, got below -1e308"),
             ("simulate", ("trials",), -10 ** 400,
              "trials must lie in [1, 2**30], got below -1e308"),
             ("asv-curve", ("n_points",), 10 ** 400,
@@ -202,7 +204,9 @@ class TestErrorPaths:
             ("asv-curve", ("n_points",), -10 ** 400,
              "n_points must lie in [1, 100000], got below -1e308"),
         ],
-        ids=["n_sensors", "trials", "n_points", "negative-n_points"],
+        ids=[
+            "n_sensors", "negative-n_sensors", "trials", "n_points", "negative-n_points"
+        ],
     )
     def test_integer_beyond_float64_is_config_error(
         self, tmp_path, command, key, value, message
