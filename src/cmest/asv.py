@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CfZeroError, ConfigError, DomainError
+from .errors import ConfigError, DomainError
 from .noise import NoiseModel
 
 __all__ = [
@@ -41,11 +41,7 @@ __all__ = [
     "asv_on_grid",
     "curve_on_grid",
     "default_omega_grid",
-    "CF_ZERO_TOL",
 ]
-
-#: |phi(w)| at or below this is treated as a characteristic-function zero.
-CF_ZERO_TOL = 1e-12
 
 #: Fraction of 2*pi/theta_range where the default curve grid starts.
 ORIGIN_FRACTION = 1e-3
@@ -78,45 +74,36 @@ class AsvCurve:
     values: np.ndarray
 
 
-def _check_omega(omega: float) -> float:
-    omega = float(omega)
-    if omega <= 0.0:
-        raise DomainError(f"omega must be > 0, got {omega}")
-    return omega
-
-
 def _asv(ctx: AsvContext, omega):
-    """phi(w), the denominator 2 w^2 phi(w)^2 and the variance at omega, a
-    float or an array.  The noise model supplies 1 - phi(2w) itself, so the
-    numerator does not cancel as phi(2w) nears 1 toward the origin."""
+    """The variance at omega, a float or an array, +inf where it is not
+    defined: at omega <= 0, where 2 w^2 phi(w)^2 is below float64's normal
+    range (phi(w) = 0 included) and where the value is not finite and > 0.
+    The model's own 1 - phi(2w) keeps the numerator's digits toward 0."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         phi1 = ctx.noise.cf(omega)
         denominator = 2.0 * np.square(omega) * np.square(phi1)
         numerator = ctx.snr_inv + ctx.noise.cf_complement(2.0 * omega)
-        return phi1, denominator, ctx.fading_penalty * numerator / denominator
+        value = ctx.fading_penalty * numerator / denominator
+    # NaN fails every comparison and is marked too
+    defined = (omega > 0.0) & (denominator >= sys.float_info.min)
+    return np.where(defined & (value > 0.0) & (value < math.inf), value, np.inf)
 
 
 def asv_generic(ctx: AsvContext, omega: float) -> float:
     """Characteristic-function form of the asymptotic variance at omega.
 
-    Raises CfZeroError where |phi(omega)| <= CF_ZERO_TOL, and DomainError
-    where 2 omega^2 phi(omega)^2 underflows float64's normal range or the
-    variance is not finite and > 0.
+    Raises DomainError where ``asv_on_grid`` marks the point +inf: omega
+    <= 0, phi(omega) = 0 or 2 omega^2 phi(omega)^2 underflowing float64's
+    normal range, or a variance float64 cannot hold.
     """
-    omega = _check_omega(omega)
-    phi1, denominator, value = _asv(ctx, omega)
-    if abs(phi1) <= CF_ZERO_TOL:
-        raise CfZeroError(
-            f"characteristic function vanishes at omega={omega}; "
-            "the estimator is not identifiable there"
-        )
-    if denominator < sys.float_info.min:  # subnormal: digits lost
+    value = float(_asv(ctx, omega))
+    if value == math.inf:
         raise DomainError(
-            f"2*omega^2*phi(omega)^2 underflows float64 at omega={omega}"
+            f"the variance at omega={float(omega)} is not defined in float64: "
+            "omega <= 0, 2*omega^2*phi(omega)^2 underflows (phi(omega) = 0 "
+            "included) or the value overflows"
         )
-    if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"the variance at omega={omega} leaves float64: {value}")
-    return float(value)
+    return value
 
 
 def asv_small_omega(variance: float, excess_kurtosis: float, omega: float) -> float:
@@ -184,15 +171,10 @@ def asv_low_snr_gaussian(variance: float, snr_inv: float) -> float:
 
 
 def asv_on_grid(ctx: AsvContext, omegas: np.ndarray) -> np.ndarray:
-    """Vectorized variance evaluation; +inf marks characteristic-function
-    zeros, an underflowing denominator and values float64 cannot hold
-    instead of raising, so grid scans can skip them."""
-    omegas = np.asarray(omegas, dtype=float)
-    phi1, denominator, vals = _asv(ctx, omegas)
-    underflow = denominator < sys.float_info.min
-    bad = (np.abs(phi1) <= CF_ZERO_TOL) | underflow | (omegas <= 0.0)
-    # NaN fails "> 0" and joins overflows at +inf
-    return np.where(bad | ~(vals > 0.0), np.inf, vals)
+    """Vectorized variance evaluation; +inf marks each point where the
+    variance is not defined (``asv_generic`` raises there), so grid scans
+    can skip them."""
+    return _asv(ctx, np.asarray(omegas, dtype=float))
 
 
 def default_omega_grid(theta_range: float, n_points: int = 2000) -> np.ndarray:
@@ -208,12 +190,13 @@ def default_omega_grid(theta_range: float, n_points: int = 2000) -> np.ndarray:
 def curve_on_grid(ctx: AsvContext, omegas: np.ndarray) -> AsvCurve:
     """The variance curve on a positive, strictly increasing grid.
 
-    Raises CfZeroError if a grid point hits a characteristic-function zero
-    or a value float64 cannot hold (pick a different grid in that case).
+    Raises DomainError if the variance is not defined at a grid point: a
+    characteristic-function zero or a value float64 cannot hold (pick a
+    different grid in that case).
     """
     values = asv_on_grid(ctx, omegas)
     if not np.all(np.isfinite(values)):
-        raise CfZeroError(
+        raise DomainError(
             "requested grid hits a characteristic-function zero or a "
             "value outside float64 range"
         )

@@ -8,7 +8,7 @@ here -> 3 (numeric/domain failures).
 def _shown_count(value: int) -> str:
     """A config integer for an error message.  ``.6g`` converts to float64,
     which a JSON integer can outgrow."""
-    if abs(value) < 1e308:
+    if not abs(value) >= 1e308:  # NaN included, shown as "nan"
         return f"{value:.6g}"
     return "over 1e308" if value > 0 else "below -1e308"
 
@@ -37,14 +37,6 @@ class UnsupportedModelError(CmestError, TypeError):
     """The operation is not defined for this noise model."""
 
 
-class CfZeroError(CmestError, ArithmeticError):
-    """The characteristic function vanishes at the requested frequency."""
-
-
 class RootNotFoundError(CmestError, RuntimeError):
     """A bracketing root search found no sign change."""
-
-
-class AllGridInvalidError(CmestError, RuntimeError):
-    """Every candidate grid point hit a characteristic-function zero."""
 

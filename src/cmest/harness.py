@@ -45,7 +45,6 @@ from .channel import (
     cm_snapshot_batch,
 )
 from .errors import (
-    CfZeroError,
     ConfigError,
     DomainError,
     MomentUndefinedError,
@@ -287,7 +286,9 @@ def _make_af_errors(nominal_variance: float) -> ErrorFn:
 
 
 def _analytic_cm(network: NetworkConfig) -> float:
-    """Asymptotic variance the estimator should reach at this point."""
+    """Asymptotic variance the estimator should reach at this point; NaN
+    where the model has no single characteristic function or the variance
+    is not defined in float64 there."""
     try:
         ctx = asv.AsvContext(
             noise=network.noise,
@@ -295,7 +296,7 @@ def _analytic_cm(network: NetworkConfig) -> float:
             fading_penalty=network.fading.penalty(),
         )
         return asv.asv_generic(ctx, network.omega)
-    except (CfZeroError, UnsupportedModelError):
+    except (DomainError, UnsupportedModelError):
         return math.nan
 
 

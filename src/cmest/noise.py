@@ -202,6 +202,8 @@ _SINC_SERIES_CUT = 0.5
 #: Taylor coefficients of 1 - sin(x)/x in x^2, (-1)^(k+1)/(2k+1)! for k = 7
 #: down to 1; the first term left out is below 1e-18 relative at the cut.
 _SINC_SERIES = tuple((-1) ** (k + 1) / math.factorial(2 * k + 1) for k in range(7, 0, -1))
+#: |sin(x)/x| at or below this is the uniform cf's zero, |sin x| <= 4 eps |x|.
+_SINC_ZERO = 4.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -228,6 +230,8 @@ class Uniform(NoiseModel):
         small = np.abs(x) < 1e-4
         safe = np.where(small, 1.0, x)
         out = np.where(small, 1.0 - x * x / 6.0, np.sin(safe) / safe)
+        # a zero at k*pi wherever sin(x) is within the rounding of x itself
+        out = np.where(np.abs(out) <= _SINC_ZERO, 0.0, out)
         return out if out.ndim else float(out)
 
     def cf_complement(self, omega):

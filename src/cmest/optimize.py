@@ -15,13 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import asv
-from .errors import (
-    AllGridInvalidError,
-    CfZeroError,
-    ConfigError,
-    DomainError,
-    RootNotFoundError,
-)
+from .errors import ConfigError, DomainError, RootNotFoundError
 from .noise import Cauchy, Gaussian, Laplace, NoiseModel, Uniform
 from .specfun import lambert_w0
 
@@ -39,6 +33,15 @@ __all__ = [
 _ROOT_TOL = 1e-13
 #: Relative interval tolerance for bracketing searches.
 _INTERVAL_TOL = 1e-12
+#: Below this beta the uniform stationarity function comes from its series.
+_UNIFORM_SERIES_CUT = 0.1
+#: d_n for n = 8 down to 3: u(beta)/beta^2 at snr_inv = 0 is
+#: sum_n d_n beta^(2n-2); the first term left out is below 1e-15 relative at
+#: the cut.
+_UNIFORM_SERIES = tuple(
+    (-1) ** n * (9 ** n - 32 * n * n + 24 * n - 1) / math.factorial(2 * n)
+    for n in range(8, 2, -1)
+)
 
 
 @dataclass(frozen=True)
@@ -48,8 +51,10 @@ class OmegaStar:
     ``clamped`` marks an optimum pinned at the boundary 2*pi/theta_range;
     ``at_origin`` marks the Gaussian and uniform zero-channel-noise
     degeneracy where the optimum is an infimum at omega -> 0 (the
-    sensing-noise variance) and the smallest default grid point is returned
-    so downstream experiments still get a usable phase.
+    sensing-noise variance).  So that downstream experiments still get a
+    usable phase, min(ORIGIN_FRACTION * 2 pi/theta_range, ORIGIN_FRACTION /
+    sigma) is returned, sigma the noise's standard deviation: there sigma *
+    omega is small, and the variance within 1e-6 relative of the infimum.
     """
 
     omega: float
@@ -115,28 +120,27 @@ def _finish(
     beta: Optional[float],
     at_origin: bool = False,
 ) -> OmegaStar:
-    """The optimum clamped to 2*pi/theta_range, with its variance.  The
-    models with a closed form have no characteristic-function zero at their
-    optimum, so a phi within the zero tolerance there means a variance too
-    large to evaluate: a DomainError."""
+    """The optimum clamped to 2*pi/theta_range, with its variance."""
     omega_max = 2.0 * math.pi / theta_range
     clamped = omega_unc >= omega_max
     omega = omega_max if clamped else omega_unc
-    try:
-        value = asv.asv_generic(ctx, omega)
-    except CfZeroError as exc:
-        raise DomainError(
-            f"phi(omega) <= {asv.CF_ZERO_TOL:g} at omega={omega}: the variance "
-            "is too large to evaluate"
-        ) from exc
     return OmegaStar(
         omega=omega,
-        asv_at_opt=value,
+        asv_at_opt=asv.asv_generic(ctx, omega),
         method=method,
         clamped=clamped,
         at_origin=at_origin,
         beta=beta,
     )
+
+
+def _at_origin(ctx: asv.AsvContext, theta_range: float, method: str) -> OmegaStar:
+    """The infimum at omega -> 0, at the phase ``OmegaStar`` states."""
+    omega = min(
+        asv.ORIGIN_FRACTION * 2.0 * math.pi / theta_range,
+        asv.ORIGIN_FRACTION / math.sqrt(ctx.noise.variance()),
+    )
+    return _finish(omega, theta_range, ctx, method, 0.0, at_origin=True)
 
 
 def omega_star_gaussian(
@@ -150,14 +154,13 @@ def omega_star_gaussian(
     omega* = min(2 pi / theta_R, sqrt(beta*) / sigma).
 
     At snr_inv = 0 the root collapses to beta = 0: the infimum (the noise
-    variance itself) sits at the origin and is not attained, so the smallest
-    default curve grid point is returned with ``at_origin`` set.  So does an
-    snr_inv too small to move snr_inv + 1 off 1 in float64.
+    variance itself) sits at the origin and is not attained, so a phase
+    near it is returned with ``at_origin`` set.  So does an snr_inv too
+    small to move snr_inv + 1 off 1 in float64.
     """
     ctx = asv.AsvContext(Gaussian(variance), snr_inv)
     if snr_inv + 1.0 == 1.0:
-        omega = asv.ORIGIN_FRACTION * 2.0 * math.pi / theta_range
-        return _finish(omega, theta_range, ctx, "gaussian-root", 0.0, at_origin=True)
+        return _at_origin(ctx, theta_range, "gaussian-root")
 
     s1 = snr_inv + 1.0
 
@@ -233,6 +236,11 @@ def omega_star_uniform(
     search to the first lobe (0, pi); the variance dominates its translates
     by k pi / a.  No closed form exists for the root.
 
+    The bisection runs on u(beta)/beta^2 = 8 snr_inv cos(beta) + sum_n d_n
+    beta^(2n-2), whose terms of order 1 in u cancel toward the origin: below
+    _UNIFORM_SERIES_CUT it sums that series, so a small snr_inv keeps its
+    sign change.
+
     At snr_inv = 0, or one too small to move snr_inv + 1 off 1 in float64,
     the equation has no root in the lobe: the excess kurtosis is negative,
     so the variance only grows away from the origin, and the infimum (the
@@ -240,8 +248,7 @@ def omega_star_uniform(
     """
     ctx = asv.AsvContext(Uniform(variance), snr_inv)
     if snr_inv + 1.0 == 1.0:
-        omega = asv.ORIGIN_FRACTION * 2.0 * math.pi / theta_range
-        return _finish(omega, theta_range, ctx, "uniform-bisect", 0.0, at_origin=True)
+        return _at_origin(ctx, theta_range, "uniform-bisect")
     s1 = snr_inv + 1.0
 
     def u(beta: float) -> float:
@@ -250,6 +257,15 @@ def omega_star_uniform(
             + math.cos(3.0 * beta)
             - 4.0 * beta * math.sin(beta)
         )
+
+    def u_over_beta2(beta: float) -> float:
+        if beta >= _UNIFORM_SERIES_CUT:
+            return u(beta) / beta ** 2
+        b2 = beta * beta
+        series = 0.0
+        for d in _UNIFORM_SERIES:  # Horner in beta^2
+            series = series * b2 + d
+        return 8.0 * snr_inv * math.cos(beta) + series * b2 * b2
 
     def du(beta: float) -> float:
         return (
@@ -260,7 +276,7 @@ def omega_star_uniform(
             - 4.0 * beta * math.cos(beta)
         )
 
-    beta = _bisect(u, 1e-4, math.pi - 1e-9)
+    beta = _bisect(u_over_beta2, 1e-4, math.pi - 1e-9)
     beta = _newton_polish(u, du, beta, 0.0, math.pi)
     a = math.sqrt(3.0 * variance)
     omega_unc = beta / a
@@ -301,9 +317,7 @@ def omega_star_numeric(
     grid = _hybrid_grid(omega_max, n_points)
     values = asv.asv_on_grid(ctx, grid)
     if not np.any(np.isfinite(values)):
-        raise AllGridInvalidError(
-            "every grid point hit a characteristic-function zero"
-        )
+        raise DomainError("the variance is not defined at any grid point")
     best = int(np.argmin(values))  # first minimum on ties
     omega, value = float(grid[best]), float(values[best])
     lo = grid[best - 1] if best > 0 else grid[0]

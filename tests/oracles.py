@@ -12,7 +12,6 @@ import mpmath
 import numpy as np
 
 from cmest import asv
-from cmest.errors import CfZeroError
 from cmest.noise import Cauchy, ClassA, Gaussian, Laplace, Uniform
 
 #: Working digits of the AsV reference.  Toward the origin 1 - phi(2w) is of
@@ -117,10 +116,12 @@ def appendix_covariance(
     g2 = c/(w sqrt(P_T) phi), defined at every angle (the tangent form of
     the same gradient has a removable singularity at w*theta = pi/2 mod pi).
     """
-    omega = asv._check_omega(omega)
+    omega = float(omega)
+    if not omega > 0.0:
+        raise ValueError(f"omega must be > 0, got {omega}")
     phi1 = float(noise.cf(omega))
-    if abs(phi1) <= asv.CF_ZERO_TOL:
-        raise CfZeroError(f"characteristic function vanishes at omega={omega}")
+    if phi1 == 0.0:
+        raise ZeroDivisionError(f"characteristic function vanishes at omega={omega}")
     phi2 = float(noise.cf(2.0 * omega))
 
     v_c = 0.5 + 0.5 * phi2 - phi1 ** 2

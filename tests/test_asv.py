@@ -1,6 +1,7 @@
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,7 +18,7 @@ from cmest.asv import (
     sample_curve,
 )
 from cmest.channel import NoFading, RayleighFading, RiceanFading
-from cmest.errors import CfZeroError, ConfigError, DomainError
+from cmest.errors import ConfigError, DomainError
 from cmest.noise import Cauchy, ClassA, Gaussian, Laplace, Uniform
 from cmest.optimize import omega_star_gaussian, omega_star_numeric
 from cmest.specfun import ricean_fading_penalty
@@ -84,9 +85,15 @@ class TestGenericAgainstClosedForms:
             assert _asv(Gaussian(1.0), 0.0, w) > 1.0
 
     def test_uniform_cf_zero_raises(self):
-        a = math.sqrt(3.0)
-        with pytest.raises(CfZeroError):
-            asv_generic(AsvContext(noise=Uniform(1.0), snr_inv=0.1), math.pi / a)
+        # omega = k pi / a rounds, and so does a * omega: the cf is 0 there
+        # all the same, and the variance is not defined
+        ctx = AsvContext(noise=Uniform(1.0), snr_inv=0.1)
+        for k in (1, 2, 3, 10, 100):
+            omega = k * math.pi / math.sqrt(3.0)
+            assert ctx.noise.cf(omega) == 0.0, k
+            with pytest.raises(DomainError):
+                asv_generic(ctx, omega)
+            assert asv_on_grid(ctx, [0.5, omega])[1] == math.inf, k
 
     def test_nonpositive_omega_rejected(self):
         with pytest.raises(DomainError):
@@ -101,15 +108,13 @@ class TestGenericAgainstClosedForms:
         assert math.isfinite(asv_generic(ctx, 1e-150))
 
     @pytest.mark.parametrize(
-        "noise, snr_inv, omega, error",
+        "noise, snr_inv, omega",
         [
-            # phi(w) underflows to 0: a cf zero to the generic form (the
-            # phase optimizers report it as a DomainError)
-            (Gaussian(1e12), 0.0, 1.0, CfZeroError),
-            (Gaussian(1.0), 0.1, 1e-200, DomainError),  # 2 w^2 underflows to 0
-            (Cauchy(1.0), 0.1, 1e-200, DomainError),
-            (Laplace(1.0), 0.1, 1e-200, DomainError),
-            (Uniform(1.0), 0.1, 1e-200, DomainError),
+            (Gaussian(1e12), 0.0, 1.0),  # phi(w) underflows to 0
+            (Gaussian(1.0), 0.1, 1e-200),  # 2 w^2 underflows to 0
+            (Cauchy(1.0), 0.1, 1e-200),
+            (Laplace(1.0), 0.1, 1e-200),
+            (Uniform(1.0), 0.1, 1e-200),
         ],
         ids=[
             "asv_generic-gaussian-phi",
@@ -119,8 +124,8 @@ class TestGenericAgainstClosedForms:
             "asv_generic-uniform-omega",
         ],
     )
-    def test_closed_forms_beyond_float64_are_domain_errors(self, noise, snr_inv, omega, error):
-        with pytest.raises(error):
+    def test_closed_forms_beyond_float64_are_domain_errors(self, noise, snr_inv, omega):
+        with pytest.raises(DomainError, match="underflow"):
             _asv(noise, snr_inv, omega)
 
     def test_fading_penalty_scales_generic(self):
@@ -168,6 +173,30 @@ class TestAgainstMpmathReference:
             assert abs(asv_generic(ctx, w) / reference - 1) <= 1e-14, w
             assert abs(on_grid / reference - 1) <= 1e-14, w
         assert compared >= 300
+
+    @pytest.mark.parametrize(
+        "noise",
+        [Gaussian(1e9), Cauchy(100.0), Laplace(1e14), ClassA(0.5, 0.1, 1e4)],
+        ids=repr,
+    )
+    def test_small_nonzero_phi_is_answered(self, noise):
+        # these cfs never vanish: at phi(w) in (1e-150, 1e-12] the variance
+        # is large but representable.  Float64 rounds log phi(w) by about
+        # eps |log phi(w)|, which the variance, ~ 1/phi^2, doubles: that is
+        # the slack beside 1e-14
+        ctx = AsvContext(noise=noise, snr_inv=0.1)
+        omegas = np.geomspace(1e-6, 10.0, 401)
+        compared = 0
+        for w, on_grid in zip(omegas.tolist(), asv_on_grid(ctx, omegas).tolist()):
+            reference, denominator = asv_reference(ctx, w)
+            phi = math.sqrt(float(denominator / (2 * mpmath.mpf(w) ** 2)))
+            if not 1e-150 < phi <= 1e-12:
+                continue
+            compared += 1
+            tol = 1e-14 + 4.0 * sys.float_info.epsilon * abs(math.log(phi))
+            assert abs(asv_generic(ctx, w) / reference - 1) <= tol, w
+            assert abs(on_grid / reference - 1) <= tol, w
+        assert compared >= 20
 
     def test_class_a_optimum_is_not_cancellation_noise(self):
         # the small-phase expansion keeps this curve within 4e-5 of 1 on

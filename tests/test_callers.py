@@ -86,3 +86,22 @@ def test_asv_does_not_import_the_channel():
     # snr_inv come from the channel's models, so asv needs nothing from it
     imported = _imported_modules(ROOT / "src" / "cmest" / "asv.py")
     assert [name for name in imported if "channel" in name.split(".")] == []
+
+
+def test_every_error_type_is_raised():
+    # an error type nothing raises is dead code a handler can still name
+    tree = ast.parse((ROOT / "src" / "cmest" / "errors.py").read_text())
+    types = {"CmestError"}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(base, ast.Name) and base.id in types for base in node.bases
+        ):
+            types.add(node.name)
+    raised = set()
+    for path in (ROOT / "src" / "cmest").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert types - {"CmestError"} - raised == set()

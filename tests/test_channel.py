@@ -93,6 +93,10 @@ class TestNetworkConfig:
         with pytest.raises(ConfigError):
             _config(**kw)
 
+    def test_nan_sensor_count_shows_as_nan(self):
+        with pytest.raises(ConfigError, match="got nan$"):
+            _config(n_sensors=float("nan"))
+
     def test_network_size_cap(self):
         # beyond 2**53 a float64 cannot hold L exactly
         assert _config(n_sensors=2 ** 53).n_sensors == 2 ** 53

@@ -355,9 +355,13 @@ class TestErrorPaths:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_underflowing_omega_is_numeric_error(self, tmp_path, capsys):
+        # a simulation where the variance is not defined runs, with a null
+        # theory value; a curve, which is all theory, is a numeric error
         d = _tiny_spec_dict(sweep={"parameter": "omega", "values": [1e-200]}, trials=4)
-        assert main(["simulate", "--config", _write_config(tmp_path, d)]) == 3
-        assert "underflow" in capsys.readouterr().err
+        argv = ["simulate", "--config", _write_config(tmp_path, d), "--format", "json"]
+        assert main(argv) == 0
+        (record,) = json.loads(capsys.readouterr().out)["records"]
+        assert record["n_trials"] == 4 and record["analytic_asv"] is None
         curve = {
             "noise": {"kind": "gaussian", "variance": 1.0},
             "theta_range": 12.0,
@@ -620,7 +624,7 @@ class TestAsvCurve:
             assert main(["asv-curve", "--config", path]) == 3
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1]
-        assert errors[0].startswith("numeric error: CfZeroError: ")
+        assert errors[0].startswith("numeric error: DomainError: ")
 
     @pytest.mark.parametrize("omegas", [["0.3", True], "0.3", [math.nan], []])
     def test_malformed_omegas_are_config_errors(self, tmp_path, capsys, omegas):
@@ -813,8 +817,9 @@ class TestAnalyticConfigs:
     @pytest.mark.parametrize(
         "noise, theta_range, snr_inv",
         [
-            ({"kind": "gaussian", "variance": 1e12}, 12.0, 0.0),
-            ({"kind": "gaussian", "variance": 1.0}, 1e-10, 0.0),
+            # the at_origin phase 1e-3 / sigma, about 1e-157: 2 w^2 underflows
+            ({"kind": "gaussian", "variance": 1e308}, 12.0, 0.0),
+            ({"kind": "uniform", "variance": 1e307}, 1e-10, 0.0),
             ({"kind": "cauchy", "scale": 1e300}, 12.0, 0.0),
             ({"kind": "gaussian", "variance": 1.0}, 1e308, 0.1),
             ({"kind": "laplace", "variance": 1.0}, 1e308, 0.1),
@@ -829,6 +834,45 @@ class TestAnalyticConfigs:
         cfg = {"noise": noise, "theta_range": theta_range, "snr_inv": snr_inv}
         assert main(["optimize-omega", "--config", _write_config(tmp_path, cfg)]) == 3
         assert "numeric error: DomainError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "noise, theta_range, snr_inv, expected",
+        [
+            # at 1e-3 * 2 pi / theta_range, sigma * omega was 524 and 6.3e7:
+            # the at_origin phase now sits where sigma * omega is small
+            ({"kind": "gaussian", "variance": 1e12}, 12.0, 0.0, 1e12),
+            ({"kind": "gaussian", "variance": 1.0}, 1e-10, 0.0, 1.0),
+            ({"kind": "gaussian", "variance": 1e9}, 12.0, 0.0, 1e9),
+            # u(1e-4) used to cancel to noise below its 8 snr_inv term
+            ({"kind": "uniform", "variance": 1.0}, 12.0, 1e-12, 1.0),
+        ],
+    )
+    def test_representable_optimum_is_answered(
+        self, tmp_path, capsys, noise, theta_range, snr_inv, expected
+    ):
+        cfg = {"noise": noise, "theta_range": theta_range, "snr_inv": snr_inv}
+        argv = ["optimize-omega", "--config", _write_config(tmp_path, cfg)]
+        assert main([*argv, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["asv_at_opt"] == pytest.approx(expected, rel=0.1)
+
+    @pytest.mark.parametrize(
+        "noise, grid, last",
+        [
+            # phi(2 pi / 12) = 3e-60: the last of 2000 default points
+            ({"kind": "gaussian", "variance": 1e3}, {}, 2.1e119),
+            # phi(0.3) = 9e-14: e^60 / 0.18
+            ({"kind": "cauchy", "scale": 100.0}, {"omegas": [0.3]}, 6.3e26),
+        ],
+    )
+    def test_small_nonzero_phi_curve_is_answered(self, tmp_path, capsys, noise, grid, last):
+        # these cfs never vanish: a large variance is still a value
+        cfg = {"noise": noise, "theta_range": 12.0, **grid}
+        argv = ["asv-curve", "--config", _write_config(tmp_path, cfg), "--format", "json"]
+        assert main(argv) == 0
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert len(records) == len(grid.get("omegas", range(2000)))
+        assert records[-1]["analytic_asv"] == pytest.approx(last, rel=0.05)
 
 
 _CURVE_CONFIG = {
@@ -1202,13 +1246,14 @@ def test_fuzzed_noise_configs_keep_the_exit_contract(tmp_path_factory, noise):
     if code == 0:
         # a run that succeeds has a result: a finite trial, and a theory
         # value unless the model has none (no single characteristic
-        # function, or one that vanishes at omega)
+        # function, or a denominator 2 w^2 phi(w)^2 outside float64's normal
+        # range at omega = 0.5; above it, snr_inv = 0.1 keeps the value finite)
         row = (tmp / "out.csv").read_text().split("\n")[1].split(",")
         assert int(row[1]) >= 1
         model = noise_from_dict(noise)
         if not (
             isinstance(model, HeterogeneousScaled)
-            or abs(model.cf(0.5)) <= asv.CF_ZERO_TOL
+            or 0.5 * model.cf(0.5) ** 2 < sys.float_info.min
         ):
             assert math.isfinite(float(row[4]))
 

@@ -341,20 +341,21 @@ class TestWorkPool:
         assert result_to_csv(run_kind(spec, threads=64)["cm"]) == expected
         assert seen == [3]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_error_drops_the_queued_units(self, monkeypatch):
-        # the analytic value of the first point underflows (DomainError)
-        omegas = (1e-200,) + tuple(np.linspace(0.2, 0.5, 63))
+        # the error function raises on the first point's block
+        omegas = tuple(np.linspace(0.2, 0.5, 64))
         spec = _spec(sweep=Sweep("omega", omegas), trials=2000)
         calls = []
-        original = harness.cm_snapshot_batch
+        original = harness._cm_errors
 
-        def counting(config, n_trials, rng):
+        def failing(config, n, rng):
             calls.append(config.omega)
-            return original(config, n_trials, rng)
+            if config.omega == omegas[0]:
+                raise DomainError("first point")
+            return original(config, n, rng)
 
-        monkeypatch.setattr(harness, "cm_snapshot_batch", counting)
-        with pytest.raises(DomainError):
+        monkeypatch.setattr(harness, "_cm_errors", failing)
+        with pytest.raises(DomainError, match="first point"):
             run_kind(spec, threads=2)
         assert len(calls) < len(omegas)
 

@@ -1,11 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from cmest import asv, optimize
 from cmest.asv import AsvContext, asv_on_grid
-from cmest.errors import ConfigError
+from cmest.errors import ConfigError, DomainError
 from cmest.noise import Cauchy, ClassA, Gaussian, Laplace, Uniform
 from cmest.optimize import (
     omega_star,
@@ -168,6 +169,84 @@ class TestUniform:
             vals = asv_on_grid(AsvContext(Uniform(1.0), snr_inv), grid)
             assert star.asv_at_opt <= vals.min() * (1.0 + 1e-9)
 
+    @pytest.mark.parametrize("snr_inv", [1.2e-16, *np.geomspace(1e-15, 1e-6, 10).tolist()])
+    def test_small_snr_matches_a_fine_grid_oracle(self, snr_inv):
+        # toward the origin u(beta)'s terms of order 1 cancel to noise of
+        # the size of its 8 snr_inv beta^2 term; the oracle is the variance
+        # itself, in 40 digits, on a log grid in beta = w a.  From 1.2e-16
+        # up, snr_inv + 1 != 1 in float64.
+        star = omega_star_uniform(1.0, snr_inv, 12.0)
+        assert not (star.at_origin or star.clamped)
+        a = math.sqrt(3.0)
+        betas = np.geomspace(1e-5, 0.5, 2001)
+        with mpmath.workdps(40):
+            s = mpmath.mpf(snr_inv)
+
+            def variance(beta):
+                b = mpmath.mpf(beta)
+                sinc = lambda x: mpmath.sin(x) / x
+                return (s + 1 - sinc(2 * b)) * a ** 2 / (2 * b ** 2 * sinc(b) ** 2)
+
+            values = [variance(b) for b in betas]
+            k = min(range(len(values)), key=values.__getitem__)
+            assert 0 < k < len(betas) - 1
+            assert betas[k - 1] <= star.beta <= betas[k + 1]
+            assert star.omega == pytest.approx(star.beta / a, rel=1e-15)
+            assert variance(star.beta) <= values[k]
+            assert abs(star.asv_at_opt / variance(star.beta) - 1) <= 1e-14
+
+    def test_series_coefficients(self):
+        # d_n is the beta^(2n) Taylor coefficient of u at snr_inv = 0
+        with mpmath.workdps(60):
+            taylor = mpmath.taylor(
+                lambda b: (8 * b ** 2 - 1) * mpmath.cos(b)
+                + mpmath.cos(3 * b)
+                - 4 * b * mpmath.sin(b),
+                0,
+                16,
+            )
+            for n, d in zip(range(8, 2, -1), optimize._UNIFORM_SERIES):
+                assert d == pytest.approx(float(taylor[2 * n]), rel=1e-15), n
+            assert max(abs(c) for c in taylor[:6]) < 1e-40
+
+    def test_roots_above_the_cut_keep_their_bisection(self, monkeypatch):
+        # above the cut the bisection reads the sign of u itself, and below
+        # it the series has the same sign wherever u's is not noise: a root
+        # above the cut is bisected to the same bits as on u
+        bisect, found = optimize._bisect, []
+        monkeypatch.setattr(
+            optimize, "_bisect", lambda f, lo, hi: found.append(bisect(f, lo, hi)) or found[-1]
+        )
+        for snr_inv in (1e-5, 2e-3, 0.1, 1.0, 10.0):
+            star = omega_star_uniform(1.0, snr_inv, 4.0)
+            assert star.beta > optimize._UNIFORM_SERIES_CUT
+            s1 = snr_inv + 1.0
+
+            def u(beta):
+                return (
+                    (8.0 * s1 * beta ** 2 - 1.0) * math.cos(beta)
+                    + math.cos(3.0 * beta)
+                    - 4.0 * beta * math.sin(beta)
+                )
+
+            assert found[-1] == bisect(u, 1e-4, math.pi - 1e-9)
+
+
+class TestAtOrigin:
+    @pytest.mark.parametrize("solver", [omega_star_gaussian, omega_star_uniform])
+    @pytest.mark.parametrize("theta_range", [1.0, 4.0, 12.0])
+    @pytest.mark.parametrize("variance", [1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12])
+    def test_phase_sits_where_sigma_omega_is_small(self, solver, theta_range, variance):
+        # the infimum is the noise variance; at 1e-3 * 2 pi / theta_range a
+        # large sigma would put the phase far from it (variance 1e9, theta
+        # range 12: about 1e125)
+        star = solver(variance, 0.0, theta_range)
+        assert star.at_origin and not star.clamped
+        assert star.omega == min(
+            1e-3 * 2.0 * math.pi / theta_range, 1e-3 / math.sqrt(variance)
+        )
+        assert star.asv_at_opt == pytest.approx(variance, rel=1e-5)
+
 
 class TestNumericGlobal:
     def test_agrees_with_gaussian_closed_form(self):
@@ -250,6 +329,11 @@ class TestNumericGlobal:
         )
         fine_min = asv_on_grid(ctx, fine).min()
         assert star.asv_at_opt <= fine_min * (1.0 + 2.0 * np.finfo(float).eps)
+
+    def test_no_defined_grid_point_is_a_domain_error(self):
+        # phi underflows to 0 on the whole grid, from 1e-6 * 2 pi / theta_range up
+        with pytest.raises(DomainError, match="any grid point"):
+            omega_star_numeric(ClassA(0.5, 0.1, 1e300), 0.1, 1e-10)
 
 
 class TestDispatch:
