@@ -16,9 +16,9 @@ formula over them.
 
 That code path evaluates the formula for every noise model, scalar and
 vectorized.  Each model gives 1 - phi(2w) directly (``cf_complement``), so
-the variance keeps its digits as w -> 0, where phi(2w) -> 1.  The small-w
-kurtosis expansion, distribution-free upper bounds and the
-amplify-and-forward baseline live here too.
+the variance keeps its digits as w -> 0, where phi(2w) -> 1.  The paper's
+upper bounds on the optimum, which every ``optimize.omega_star`` answer
+meets, and the amplify-and-forward baseline live here too.
 """
 
 import math
@@ -34,7 +34,6 @@ __all__ = [
     "AsvContext",
     "AsvCurve",
     "asv_generic",
-    "asv_small_omega",
     "asv_upper_bound",
     "asv_af",
     "asv_low_snr_gaussian",
@@ -106,15 +105,6 @@ def asv_generic(ctx: AsvContext, omega: float) -> float:
     return value
 
 
-def asv_small_omega(variance: float, excess_kurtosis: float, omega: float) -> float:
-    """Second-order expansion near the origin: s2 - (1/3) kappa s2^2 w^2.
-
-    Valid for finite fourth moment; a positive excess kurtosis means the
-    variance can be driven below s2 by increasing omega slightly.
-    """
-    return variance - excess_kurtosis * variance ** 2 * omega ** 2 / 3.0
-
-
 def asv_upper_bound(variance: float, snr_inv: float, theta_range: float) -> float:
     """Distribution-free upper bound on the optimized asymptotic variance.
 
@@ -129,24 +119,21 @@ def asv_upper_bound(variance: float, snr_inv: float, theta_range: float) -> floa
     constraint cuts the minimizer off (beta_max <= c/8, or snr_inv = 0 where
     c collapses to 0), the bound is evaluated at beta_max instead.
 
-    Requires beta_max < 2 (AssumptionViolated -> DomainError otherwise).
+    Requires beta_max < 2, and beta_max in float64's normal range, where
+    the bound keeps its digits; DomainError otherwise.
     """
-    if variance <= 0.0:
-        raise DomainError(f"variance must be > 0, got {variance}")
-    if snr_inv < 0.0:
-        raise DomainError(f"snr_inv must be >= 0, got {snr_inv}")
-    beta_max = (2.0 * math.pi / theta_range) ** 2 * variance
-    if beta_max >= 2.0:
+    omega_max = 2.0 * math.pi / theta_range
+    beta_max = omega_max * omega_max * variance
+    if not sys.float_info.min <= beta_max < 2.0:
         raise DomainError(
             "bound assumption violated: (2*pi/theta_range)^2 * variance = "
-            f"{beta_max:.6g} must be < 2"
+            f"{beta_max:.6g} must be < 2 and not underflow"
         )
     c = -3.0 * snr_inv + math.sqrt(snr_inv) * math.sqrt(32.0 + 9.0 * snr_inv)
 
     def bound_at(beta: float) -> float:
-        return (
-            variance * (snr_inv + 2.0 * beta) / (2.0 * beta * (1.0 - beta / 2.0) ** 2)
-        )
+        # the quotient, >= 1, first: variance times snr_inv alone can underflow
+        return variance * ((snr_inv + 2.0 * beta) / (2.0 * beta * (1.0 - beta / 2.0) ** 2))
 
     if c > 0.0 and beta_max > c / 8.0:
         return bound_at(c / 8.0)
@@ -165,8 +152,8 @@ def asv_low_snr_gaussian(variance: float, snr_inv: float) -> float:
     """Gaussian variance at the low-channel-SNR phase choice w = 1/sigma:
     (s2 e / 2) [snr_inv + 1 - exp(-2)].
 
-    An upper bound on the optimized performance at any SNR; tight when the
-    channel SNR is low."""
+    An upper bound on the optimum at any SNR where 1/sigma <= 2 pi/theta_R;
+    tight when the channel SNR is low."""
     return variance * math.e / 2.0 * (snr_inv + 1.0 - math.exp(-2.0))
 
 

@@ -81,9 +81,6 @@ class NoiseModel:
     def variance(self) -> float:
         raise MomentUndefinedError(f"{type(self).__name__} variance undefined")
 
-    def excess_kurtosis(self) -> float:
-        raise MomentUndefinedError(f"{type(self).__name__} kurtosis undefined")
-
     def sample(self, rng: np.random.Generator, size, out=None, work=None):
         """Noise draws of shape ``size``.
 
@@ -124,9 +121,6 @@ class Gaussian(NoiseModel):
     def variance(self) -> float:
         return self.variance_
 
-    def excess_kurtosis(self) -> float:
-        return 0.0
-
     def sample(self, rng, size, out=None, work=None):
         return _fill_normals(
             rng,
@@ -159,9 +153,6 @@ class Laplace(NoiseModel):
 
     def variance(self) -> float:
         return self.variance_
-
-    def excess_kurtosis(self) -> float:
-        return 3.0
 
     def sample(self, rng, size, out=None, work=None):
         # b * E with the sign of U - 1/2: the exponential block, then the
@@ -248,9 +239,6 @@ class Uniform(NoiseModel):
 
     def variance(self) -> float:
         return self.variance_
-
-    def excess_kurtosis(self) -> float:
-        return -1.2
 
     def sample(self, rng, size, out=None, work=None):
         # rng.uniform(-a, a)'s own order: low + (high - low) * u
@@ -366,10 +354,6 @@ class ClassA(NoiseModel):
     def variance(self) -> float:
         # E[X] = variance regardless of overlap/background split.
         return self.variance_
-
-    def excess_kurtosis(self) -> float:
-        # kappa = 3 var(X) / E[X]^2 for a compound Gaussian sqrt(X)*G.
-        return 3.0 / (self.overlap * (self.background_ratio + 1.0) ** 2)
 
     def sample(self, rng, size, out=None, work=None):
         # sqrt(X) * G: all of the chunk's uniforms pick their Poisson counts

@@ -5,7 +5,8 @@ Each solver minimizes the asymptotic variance over omega in
 closed or semi-closed stationarity equations; anything else (notably
 Class-A, whose variance curve can have several local minima) goes through a
 deterministic global grid scan refined by scan-and-zoom.  Every solver
-reports the variance at its phase through the one formula in ``asv``.
+reports the variance at its phase through the one formula in ``asv``, and
+``omega_star`` checks it against the paper's upper bounds on the optimum.
 """
 
 import math
@@ -15,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import asv
-from .errors import ConfigError, DomainError, RootNotFoundError
+from .errors import ConfigError, DomainError, MomentUndefinedError, RootNotFoundError
 from .noise import Cauchy, Gaussian, Laplace, NoiseModel, Uniform
 from .specfun import lambert_w0
 
@@ -46,7 +47,7 @@ _UNIFORM_SERIES = tuple(
 
 @dataclass(frozen=True)
 class OmegaStar:
-    """Result of a transmit-phase optimization.
+    """A transmit-phase optimum; ``omega_star`` checks it against the paper's bounds.
 
     ``clamped`` marks an optimum pinned at the boundary 2*pi/theta_range;
     ``at_origin`` marks the Gaussian and uniform zero-channel-noise
@@ -283,6 +284,8 @@ def omega_star_uniform(
     return _finish(omega_unc, theta_range, ctx, "uniform-bisect", beta)
 
 
+#: Points of the numeric scan's hybrid grid.
+_SCAN_POINTS = 10_000
 #: Evenly spaced points per zoom round of the numeric scan.
 _ZOOM_POINTS = 65
 
@@ -296,12 +299,7 @@ def _hybrid_grid(omega_max: float, n_points: int) -> np.ndarray:
     return np.unique(np.concatenate([log_part, lin_part]))
 
 
-def omega_star_numeric(
-    noise: NoiseModel,
-    snr_inv: float,
-    theta_range: float,
-    n_points: int = 10_000,
-) -> OmegaStar:
+def omega_star_numeric(noise: NoiseModel, snr_inv: float, theta_range: float) -> OmegaStar:
     """Global scan for distributions without a stationarity closed form.
 
     A hybrid log+linear grid over (0, 2*pi/theta_range] is scanned (ties
@@ -314,7 +312,7 @@ def omega_star_numeric(
     """
     ctx = asv.AsvContext(noise=noise, snr_inv=snr_inv)
     omega_max = 2.0 * math.pi / theta_range
-    grid = _hybrid_grid(omega_max, n_points)
+    grid = _hybrid_grid(omega_max, _SCAN_POINTS)
     values = asv.asv_on_grid(ctx, grid)
     if not np.any(np.isfinite(values)):
         raise DomainError("the variance is not defined at any grid point")
@@ -339,6 +337,8 @@ def omega_star_numeric(
 
 
 _METHODS = ("auto", "closed", "numeric")
+#: Relative rounding an answer may carry above one of the paper's bounds.
+_BOUND_SLACK = 1e-12
 
 
 def omega_star(
@@ -351,18 +351,40 @@ def omega_star(
     (ConfigError without one, e.g. for Class-A); "numeric" always scans.
     Solvers are looked up as module globals at each call, so a rebinding of
     one (a tracing wrapper, say) is seen here too.
+
+    Every answer is checked against the paper's bounds on the optimum: a
+    variance above ``asv.asv_upper_bound`` (where it applies) or, for a
+    Gaussian with 1/sigma in range, ``asv.asv_low_snr_gaussian`` by more
+    than a relative _BOUND_SLACK is a solver failure: DomainError.
     """
     if method not in _METHODS:
         raise ConfigError(f"unknown optimizer method {method!r}")
+    star = None
     if method != "numeric":
         if type(noise) is Gaussian:
-            return omega_star_gaussian(noise.variance_, snr_inv, theta_range)
-        if type(noise) is Laplace:
-            return omega_star_laplace(noise.variance_, snr_inv, theta_range)
-        if type(noise) is Uniform:
-            return omega_star_uniform(noise.variance_, snr_inv, theta_range)
-        if type(noise) is Cauchy:
-            return omega_star_cauchy(noise.scale, snr_inv, theta_range)
-        if method == "closed":
+            star = omega_star_gaussian(noise.variance_, snr_inv, theta_range)
+        elif type(noise) is Laplace:
+            star = omega_star_laplace(noise.variance_, snr_inv, theta_range)
+        elif type(noise) is Uniform:
+            star = omega_star_uniform(noise.variance_, snr_inv, theta_range)
+        elif type(noise) is Cauchy:
+            star = omega_star_cauchy(noise.scale, snr_inv, theta_range)
+        elif method == "closed":
             raise ConfigError(f"no closed-form solver for {type(noise).__name__}")
-    return omega_star_numeric(noise, snr_inv, theta_range)
+    if star is None:
+        star = omega_star_numeric(noise, snr_inv, theta_range)
+    try:
+        variance = noise.variance()
+        bound = asv.asv_upper_bound(variance, snr_inv, theta_range)
+    except MomentUndefinedError:  # Cauchy: neither bound applies
+        return star
+    except DomainError:  # beta_max outside the distribution-free bound's range
+        bound = math.inf
+    if type(noise) is Gaussian and 1.0 / math.sqrt(variance) <= 2.0 * math.pi / theta_range:
+        bound = min(bound, asv.asv_low_snr_gaussian(variance, snr_inv))
+    if star.asv_at_opt > bound * (1.0 + _BOUND_SLACK):
+        raise DomainError(
+            f"the {star.method} answer's variance {star.asv_at_opt!r} at omega="
+            f"{star.omega!r} is above the paper's bound {bound!r} on the optimum"
+        )
+    return star

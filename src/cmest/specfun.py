@@ -25,6 +25,8 @@ __all__ = [
 
 _BRANCH_POINT = -math.exp(-1.0)  # -1/e, left edge of the real domain
 _GAMMA_3_2 = math.sqrt(math.pi) / 2.0  # Gamma(3/2), kept as an exact constant
+#: Series terms hyp1f1 sums before it gives up.
+_HYP1F1_MAX_TERMS = 10_000
 
 
 def lambert_w0(x: float) -> float:
@@ -71,7 +73,7 @@ def lambert_w0(x: float) -> float:
     raise NonConvergenceError(f"lambert_w0 did not converge for x={x}")
 
 
-def hyp1f1(a: float, b: float, x: float, max_terms: int = 10_000) -> float:
+def hyp1f1(a: float, b: float, x: float) -> float:
     """Kummer confluent hypergeometric function 1F1(a; b; x).
 
     Direct series sum_n (a)_n/(b)_n x^n/n!, terminated once
@@ -80,23 +82,23 @@ def hyp1f1(a: float, b: float, x: float, max_terms: int = 10_000) -> float:
     stable positive-argument series is summed instead.
 
     Raises DomainError when b is a non-positive integer, and
-    NonConvergenceError past ``max_terms`` terms.
+    NonConvergenceError past _HYP1F1_MAX_TERMS terms.
     """
     a, b, x = float(a), float(b), float(x)
     if b <= 0.0 and b == math.floor(b):
         raise DomainError(f"hyp1f1 undefined for non-positive integer b={b}")
     if x < 0.0:
-        return math.exp(x) * hyp1f1(b - a, b, -x, max_terms=max_terms)
+        return math.exp(x) * hyp1f1(b - a, b, -x)
 
     total = 1.0
     term = 1.0
-    for n in range(max_terms):
+    for n in range(_HYP1F1_MAX_TERMS):
         term *= (a + n) / (b + n) * x / (n + 1.0)
         total += term
         if abs(term) < 1e-15 * abs(total):
             return total
     raise NonConvergenceError(
-        f"hyp1f1({a}, {b}, {x}) did not converge in {max_terms} terms"
+        f"hyp1f1({a}, {b}, {x}) did not converge in {_HYP1F1_MAX_TERMS} terms"
     )
 
 

@@ -54,6 +54,29 @@ def asv_reference(ctx: asv.AsvContext, omega: float):
         return mpmath.mpf(ctx.fading_penalty) * numerator / denominator, denominator
 
 
+def excess_kurtosis(noise) -> float:
+    """Excess kurtosis E[eta^4]/s2^2 - 3 of ``noise``, from the model's
+    definition."""
+    if type(noise) is Gaussian:
+        return 0.0
+    if type(noise) is Laplace:
+        return 3.0
+    if type(noise) is Uniform:
+        return -1.2
+    if type(noise) is ClassA:
+        # 3 var(X) / E[X]^2 for a compound Gaussian sqrt(X) * G
+        return 3.0 / (noise.overlap * (noise.background_ratio + 1.0) ** 2)
+    raise TypeError(f"no finite excess kurtosis for {noise!r}")
+
+
+def asv_small_omega(variance: float, kurtosis: float, omega: float) -> float:
+    """Second-order expansion of the variance near the origin at snr_inv = 0,
+    s2 - (1/3) kappa s2^2 w^2, kappa the excess kurtosis, for a finite fourth
+    moment: a positive kappa means the variance can be driven below s2 by
+    increasing omega slightly."""
+    return variance - kurtosis * variance ** 2 * omega ** 2 / 3.0
+
+
 def grid_argmin(ctx: asv.AsvContext, theta_range: float, n_points: int = 1_000_000):
     """Brute-force minimizer of the variance over (0, 2*pi/theta_range].
 

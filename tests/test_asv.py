@@ -12,7 +12,6 @@ from cmest.asv import (
     asv_generic,
     asv_low_snr_gaussian,
     asv_on_grid,
-    asv_small_omega,
     asv_upper_bound,
     default_omega_grid,
     sample_curve,
@@ -22,7 +21,7 @@ from cmest.errors import ConfigError, DomainError
 from cmest.noise import Cauchy, ClassA, Gaussian, Laplace, Uniform
 from cmest.optimize import omega_star_gaussian, omega_star_numeric
 from cmest.specfun import ricean_fading_penalty
-from oracles import appendix_covariance, asv_reference
+from oracles import appendix_covariance, asv_reference, asv_small_omega
 
 
 def _asv(noise, snr_inv, omega):
@@ -244,9 +243,22 @@ class TestUpperBound:
     def test_zero_snr_large_range_approaches_variance(self):
         assert asv_upper_bound(1.0, 0.0, 1000.0) == pytest.approx(1.0, rel=1e-4)
 
-    def test_assumption_violated(self):
+    @pytest.mark.parametrize(
+        "variance, theta_range",
+        [
+            (4.0, 4.0),  # (2pi/4)^2 * 4 ~ 9.9 >= 2
+            (1e-300, 1e150),  # beta_max underflows to 0: the bound divided by it
+            (1.0, 1e-160),  # (2pi/theta_range)^2 overflows
+        ],
+    )
+    def test_assumption_violated(self, variance, theta_range):
         with pytest.raises(DomainError):
-            asv_upper_bound(4.0, 0.1, 4.0)  # (2pi/4)^2 * 4 ~ 9.9 >= 2
+            asv_upper_bound(variance, 0.1, theta_range)
+
+    def test_tiny_variance_keeps_its_digits(self):
+        # beta_max = 3.9e-211 and snr_inv 1e-300: variance * snr_inv alone
+        # underflows, which made the bound 0
+        assert asv_upper_bound(1e-200, 1e-300, 1e6) == pytest.approx(1e-200, rel=1e-12)
 
     def test_dominates_grid_minimum_smoke(self):
         rng = np.random.default_rng(404)

@@ -46,9 +46,6 @@ class _ZeroNoise(NoiseModel):
     def variance(self):
         return 0.0
 
-    def excess_kurtosis(self):
-        return 0.0
-
     def sample(self, rng, size, out=None, work=None):
         return np.zeros(size)
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cmest
-from cmest import asv, cli, harness, presets
+from cmest import asv, cli, harness, optimize, presets
 from cmest.cli import main
 from cmest.errors import DomainError
 from cmest.harness import (
@@ -29,7 +30,7 @@ from cmest.harness import (
     run_kind,
     spec_to_dict,
 )
-from cmest.noise import HeterogeneousScaled
+from cmest.noise import Gaussian, HeterogeneousScaled
 
 
 def _write_config(tmp_path, payload, name="cfg.json"):
@@ -696,6 +697,31 @@ class TestOptimizeOmega:
         payload = json.loads(capsys.readouterr().out)
         assert payload["at_origin"]
         assert payload["asv_at_opt"] == pytest.approx(1.0, rel=1e-4)
+
+    def test_answer_above_the_papers_bounds_is_numeric_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a solver that answers a quarter of its phase, with that phase's
+        # true variance: about 3.97, above the distribution-free bound 1.54
+        solve = optimize.omega_star_gaussian
+
+        def worse(variance, snr_inv, theta_range):
+            star = solve(variance, snr_inv, theta_range)
+            ctx = asv.AsvContext(Gaussian(variance), snr_inv)
+            omega = star.omega / 4.0
+            return replace(star, omega=omega, asv_at_opt=asv.asv_generic(ctx, omega))
+
+        monkeypatch.setattr(optimize, "omega_star_gaussian", worse)
+        cfg = {
+            "noise": {"kind": "gaussian", "variance": 1.0},
+            "snr_inv": 0.1,
+            "theta_range": 12.0,
+        }
+        assert main(["optimize-omega", "--config", _write_config(tmp_path, cfg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric error: DomainError: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("method", [3, None])
     def test_non_string_method_is_config_error(self, tmp_path, capsys, method):

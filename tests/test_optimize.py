@@ -336,7 +336,17 @@ class TestNumericGlobal:
             omega_star_numeric(ClassA(0.5, 0.1, 1e300), 0.1, 1e-10)
 
 
+#: Every answer here is checked against the paper's bounds and must pass.
+#: Near the origin the distribution-free bound is tight to O(beta^2), so the
+#: two largest theta ranges test the check's slack, at_origin answers
+#: included.
+_BOUNDED_SNR_INV = [0.0, 1e-3, 0.01, 0.1, 0.3, 1.0, 10.0]
+_BOUNDED_THETA_RANGES = [4.0, 6.0, 12.0, 30.0, 1e3, 1e6]
+
+
 class TestDispatch:
+    @pytest.mark.parametrize("theta_range", _BOUNDED_THETA_RANGES)
+    @pytest.mark.parametrize("snr_inv", _BOUNDED_SNR_INV)
     @pytest.mark.parametrize(
         "noise, solver, param",
         [
@@ -346,17 +356,46 @@ class TestDispatch:
             (Cauchy(0.8), omega_star_cauchy, 0.8),
         ],
     )
-    def test_closed_form_per_noise(self, noise, solver, param):
-        expected = solver(param, 0.1, 12.0)
-        assert omega_star(noise, 0.1, 12.0) == expected
-        assert omega_star(noise, 0.1, 12.0, "closed") == expected
-        assert omega_star(noise, 0.1, 12.0, "numeric").method == "grid-global"
+    def test_closed_form_per_noise(self, noise, solver, param, snr_inv, theta_range):
+        expected = solver(param, snr_inv, theta_range)
+        assert omega_star(noise, snr_inv, theta_range) == expected
+        assert omega_star(noise, snr_inv, theta_range, "closed") == expected
+        assert omega_star(noise, snr_inv, theta_range, "numeric").method == "grid-global"
 
-    def test_class_a_scans_and_has_no_closed_form(self):
+    @pytest.mark.parametrize("theta_range", _BOUNDED_THETA_RANGES)
+    @pytest.mark.parametrize("snr_inv", _BOUNDED_SNR_INV)
+    def test_class_a_scans_and_has_no_closed_form(self, snr_inv, theta_range):
         noise = ClassA(0.5, 0.1, 3.0)
-        assert omega_star(noise, 0.1, 12.0) == omega_star_numeric(noise, 0.1, 12.0)
+        expected = omega_star_numeric(noise, snr_inv, theta_range)
+        assert omega_star(noise, snr_inv, theta_range) == expected
+        assert omega_star(noise, snr_inv, theta_range, "numeric") == expected
         with pytest.raises(ConfigError):
-            omega_star(noise, 0.1, 12.0, "closed")
+            omega_star(noise, snr_inv, theta_range, "closed")
+
+    @pytest.mark.parametrize(
+        "noise, snr_inv, theta_range, method, solve, better_omega",
+        [
+            # the scan's grid starts at 1e-6 * 2 pi / theta_range, where
+            # sigma * omega is 52, far past the phase 1/sigma
+            (Gaussian(1e14), 0.0, 12.0, "numeric", omega_star_numeric, 1e-7),
+            # the at_origin phase is the snr_inv = 0 answer, but there
+            # snr_inv / (2 w^2) is 0.13, against 1.3e-7 at 2 pi / theta_range
+            (Gaussian(1.0), 1e-17, 1e6, "auto",
+             lambda n, *args: omega_star_gaussian(n.variance_, *args), 2.0 * math.pi / 1e6),
+            (Uniform(1.0), 1e-17, 1e6, "auto",
+             lambda n, *args: omega_star_uniform(n.variance_, *args), 2.0 * math.pi / 1e6),
+        ],
+        ids=["scan-misses-the-origin", "gaussian-origin", "uniform-origin"],
+    )
+    def test_answer_above_a_bound_is_a_domain_error(
+        self, noise, snr_inv, theta_range, method, solve, better_omega
+    ):
+        with pytest.raises(DomainError, match="above the paper's bound"):
+            omega_star(noise, snr_inv, theta_range, method)
+        # the solver's own answer is worse than another phase in range
+        star = solve(noise, snr_inv, theta_range)
+        better = asv.asv_generic(AsvContext(noise, snr_inv), better_omega)
+        assert better < star.asv_at_opt
 
     def test_unknown_method(self):
         with pytest.raises(ConfigError):
